@@ -3,10 +3,11 @@
 A :class:`Tensor` records its parents and a vector-Jacobian closure as
 operations build up; ``backward()`` on a scalar output topologically
 sorts the tape and accumulates exact gradients into every reachable
-tensor's ``grad``. Non-Tensor operands are treated as constants. The op
-set is deliberately small: elementwise arithmetic, exp/log/tanh-family
-nonlinearities, matmul, gathers, reductions and log-sum-exp, which is
-everything the models and objectives here need.
+tensor's ``grad``: the first gradient to reach a tensor is stored as it
+is, later ones are added out of place. Non-Tensor operands are treated
+as constants. The op set is deliberately small: elementwise arithmetic,
+exp/log/tanh-family nonlinearities, matmul, gathers, reductions and
+log-sum-exp, which is everything the models and objectives here need.
 """
 
 from __future__ import annotations
@@ -94,9 +95,8 @@ class Tensor:
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if parent is None or g is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + g
+                # out of place: a VJP may hand back a view of another gradient
+                parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def parameter(data) -> Tensor:
@@ -213,15 +213,20 @@ def matmul(a, b) -> Tensor:
     return Tensor(ad @ bd, (_maybe(a), _maybe(b)), vjp)
 
 
+def _scatter_add(flat_idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum of ``g`` into a zero array of ``shape`` at non-negative flat indices."""
+    return np.bincount(flat_idx.ravel(), weights=g.ravel(), minlength=int(np.prod(shape))).reshape(shape)
+
+
 def gather(a, indices) -> Tensor:
-    """Rows (or scalars, for 1-D inputs) of ``a`` at ``indices``."""
+    """Rows (or scalars, for 1-D inputs) of ``a`` at non-negative ``indices``."""
     ad = _data(a)
     idx = np.asarray(indices, dtype=np.int64)
 
     def vjp(g):
-        out = np.zeros_like(ad)
-        np.add.at(out, idx, g)
-        return (out,)
+        inner = int(np.prod(ad.shape[1:]))
+        flat = idx if inner == 1 else idx[..., None] * inner + np.arange(inner)
+        return (_scatter_add(flat, g, ad.shape),)
 
     return Tensor(ad[idx], (_maybe(a),), vjp)
 
@@ -233,9 +238,7 @@ def take_pairs(a, rows, cols) -> Tensor:
     c = np.asarray(cols, dtype=np.int64)
 
     def vjp(g):
-        out = np.zeros_like(ad)
-        np.add.at(out, (r, c), g)
-        return (out,)
+        return (_scatter_add(r * ad.shape[1] + c, g, ad.shape),)
 
     return Tensor(ad[r, c], (_maybe(a),), vjp)
 

@@ -182,6 +182,7 @@ class NeighborhoodStructure:
             raise ValueError("explicit_edges only allowed for the explicit kind")
         self._adj: tuple[np.ndarray, np.ndarray] | None = None
         self._und: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._connected: bool | None = None
 
     def _validate_explicit(self, edges) -> dict[int, tuple[int, ...]]:
         adj: dict[int, tuple[int, ...]] = {}
@@ -501,11 +502,13 @@ def is_weakly_connected(
 ) -> bool:
     """True iff the undirected view restricted to ``support`` is connected.
 
-    ``support=None`` means the whole (enumerable) space. Edges leaving
-    the support are ignored.
+    ``support=None`` means the whole (enumerable) space, and the answer
+    is cached on the structure. Edges leaving the support are ignored.
     """
     space = structure.space
     if support is None:
+        if structure._connected is not None:
+            return structure._connected
         n = space.require_enumerable("connectivity check")
         ids = range(n)
     else:
@@ -518,4 +521,6 @@ def is_weakly_connected(
         for j in structure._neighbor_indices(space.state_of(i)):
             if j in members:
                 uf.union(i, j)
+    if support is None:
+        structure._connected = uf.n_components == 1
     return uf.n_components == 1

@@ -58,19 +58,6 @@ class DensityModel:
         delta = ad.sub(self.log_mass_unnorm_t(dst), self.log_mass_unnorm_t(states))
         return ad.sub(ad.texp(delta), 1.0)
 
-    def score_entries_flat_t(
-        self, structure: NeighborhoodStructure, src_flat: np.ndarray, positions: np.ndarray
-    ) -> Tensor:
-        """Flat-index variant used by the hot estimator loops."""
-        indptr, indices = structure.adjacency()
-        dst_flat = indices[indptr[src_flat] + positions]
-        space = self.space
-        delta = ad.sub(
-            self.log_mass_unnorm_t(space.states_of(dst_flat)),
-            self.log_mass_unnorm_t(space.states_of(src_flat)),
-        )
-        return ad.sub(ad.texp(delta), 1.0)
-
     def score_entries(self, structure, states, positions) -> np.ndarray:
         return self.score_entries_t(structure, states, positions).data
 
@@ -125,6 +112,7 @@ class LogitTableModel(DensityModel):
         return ad.gather(self.logits, self.space.indices_of(states))
 
     def score_entries_flat_t(self, structure, src_flat, positions) -> Tensor:
+        """:meth:`score_entries_t` from flat source indices, for the estimators."""
         indptr, indices = structure.adjacency()
         dst_flat = indices[indptr[src_flat] + positions]
         delta = ad.sub(ad.gather(self.logits, dst_flat), ad.gather(self.logits, src_flat))
@@ -337,7 +325,8 @@ def fit(
     rows: list[tuple[int, float, float]] = []
     start = time.perf_counter()
     for it in range(1, iterations + 1):
-        batch = samples[rng.integers(0, samples.shape[0], size=batch_size)]
+        # np.take gives the same rows as samples[idx], faster on large arrays
+        batch = np.take(samples, rng.integers(0, samples.shape[0], size=batch_size), axis=0)
         model.zero_grad()
         out = objective(model, batch, rng)
         if not np.isfinite(out.value):
@@ -404,14 +393,22 @@ def save_checkpoint(path, model_or_models) -> None:
     atomic_write_bytes(path, json.dumps(header).encode("utf-8") + b"\n" + payload)
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose payload does not match its header."""
+
+
 def _load_one(header: dict, raw: bytes, offset: int):
     model = _build_from_config(header["kind"], header["config"], header["seed"])
     expected = [(name, tuple(shape)) for name, shape in header["params"]]
     actual = [(name, p.data.shape) for name, p in model.params.items()]
     if expected != actual:
-        raise ValueError(f"checkpoint parameter layout {expected} != model layout {actual}")
+        raise CheckpointError(f"checkpoint parameter layout {expected} != model layout {actual}")
     for name, p in model.params.items():
         count = p.data.size
+        if offset + count * 8 > len(raw):
+            raise CheckpointError(
+                f"checkpoint payload is {len(raw)} bytes, too short for parameter {name!r}"
+            )
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         p.data = arr.reshape(p.data.shape).astype(np.float64)
         offset += count * 8
@@ -419,17 +416,16 @@ def _load_one(header: dict, raw: bytes, offset: int):
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns a model or a list."""
+    """Inverse of :func:`save_checkpoint`; returns a model or a list. A payload
+    shorter or longer than its header lists raises :class:`CheckpointError`."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header = json.loads(fh.readline().decode("utf-8"))
         raw = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("kind") == "bundle":
-        models = []
-        offset = 0
-        for sub in header["models"]:
-            model, offset = _load_one(sub, raw, offset)
-            models.append(model)
-        return models
-    model, _ = _load_one(header, raw, 0)
-    return model
+    bundle = header.get("kind") == "bundle"
+    models, offset = [], 0
+    for sub in header["models"] if bundle else [header]:
+        model, offset = _load_one(sub, raw, offset)
+        models.append(model)
+    if offset != len(raw):
+        raise CheckpointError(f"checkpoint has {len(raw) - offset} trailing bytes")
+    return models if bundle else models[0]

@@ -2,12 +2,12 @@
 
 Exact, fully enumerated losses (the l2 score-matching loss and its
 tractable two-term expansion), their unbiased single-neighbor Monte
-Carlo estimators and the full-neighborhood Monte Carlo loss that sums
-them over each sample's neighborhood, reparameterized estimators for
-chain/cycle/grid structures that need no reverse index, the denoising
-variant built on a per-dimension categorical noise kernel, the
-corrected and original ratio-matching and marginalization baselines,
-and plain negative log-likelihood.
+Carlo estimators, the full-neighborhood Monte Carlo loss (the expansion
+on the batch histogram, drawing no randomness), reparameterized
+estimators for chain/cycle/grid structures that need no reverse index,
+the denoising variant built on a per-dimension categorical noise
+kernel, the corrected and original ratio-matching and marginalization
+baselines, and plain negative log-likelihood.
 
 Every public objective returns an :class:`ObjectiveValue` carrying the
 scalar, the parameter gradients from the tape, and bookkeeping counts.
@@ -92,11 +92,17 @@ class NoiseKernel:
 # shared plumbing
 
 
-def _entries_t(model, structure, states, positions) -> Tensor:
+def _entries_t(model, structure, src: np.ndarray, positions) -> Tensor:
+    """Score entries c(src[j])[positions[j]]; ``src`` holds states (m, D)
+    or, on an enumerable space, flat indices (m,)."""
+    if src.ndim == 1:
+        if hasattr(model, "score_entries_flat_t"):
+            return model.score_entries_flat_t(structure, src, positions)
+        src = structure.space.states_of(src)
     if hasattr(model, "score_entries_t"):
-        return model.score_entries_t(structure, states, positions)
+        return model.score_entries_t(structure, src, positions)
     # oracle models without parameters enter the tape as constants
-    return Tensor(model.score_entries(structure, states, positions))
+    return Tensor(model.score_entries(structure, src, positions))
 
 
 def _finalize(model, loss: Tensor, meta: dict) -> ObjectiveValue:
@@ -111,12 +117,30 @@ def _finalize(model, loss: Tensor, meta: dict) -> ObjectiveValue:
     return ObjectiveValue(value=float(loss.data), grads=grads, meta=meta)
 
 
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray):
+    """(row, entry, counts): the row of every CSR entry of ``rows`` and its
+    index into the CSR data arrays, and each row's entry count."""
+    counts = indptr[rows + 1] - indptr[rows]
+    shift = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
+    return np.repeat(rows, counts), np.arange(shift.size) + shift, counts
+
+
 def _all_edges(structure: NeighborhoodStructure):
     indptr, indices = structure.adjacency()
     degs = np.diff(indptr)
     src = np.repeat(np.arange(structure.space.total_states, dtype=np.int64), degs)
     pos = np.arange(indptr[-1], dtype=np.int64) - indptr[src]
     return src, pos, indices
+
+
+def _weighted_j(model, structure, src, pos, alpha, beta) -> tuple[Tensor, dict]:
+    """J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the edges (src, pos), where
+    alpha and beta are the masses at each edge's source and destination: of a
+    distribution over every edge, or of a batch histogram over the edges it touches."""
+    c = _entries_t(model, structure, src, pos)
+    loss = ad.tsum(ad.mul(ad.add(ad.mul(c, alpha), 2.0 * (alpha - beta)), c))
+    j2 = 2.0 * float((beta * c.data).sum())
+    return loss, {"edges": int(src.size), "j1": float(loss.data) + j2, "j2": j2}
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +160,7 @@ def csm_loss_exact(model, p: TabularDistribution, structure: NeighborhoodStructu
     keep = w > 0
     src, pos, dst, w = src[keep], pos[keep], dst[keep], w[keep]
     target = p.mass[dst] / p.mass[src] - 1.0
-    entries = _entries_t(model, structure, space.states_of(src), pos)
+    entries = _entries_t(model, structure, src, pos)
     loss = ad.tsum(ad.mul(ad.square(ad.sub(entries, target)), w))
     meta = {"edges": int(src.size), "states": int(space.total_states)}
     return _finalize(model, loss, meta)
@@ -148,17 +172,8 @@ def jcsm_exact(model, p: TabularDistribution, structure: NeighborhoodStructure) 
     Differs from :func:`csm_loss_exact` by a model-independent constant,
     so gradients and minimizers coincide.
     """
-    space = structure.space
     src, pos, dst = _all_edges(structure)
-    entries = _entries_t(model, structure, space.states_of(src), pos)
-    j1 = ad.tsum(ad.mul(ad.add(ad.square(entries), ad.mul(entries, 2.0)), p.mass[src]))
-    j2 = ad.tsum(ad.mul(entries, 2.0 * p.mass[dst]))
-    loss = ad.sub(j1, j2)
-    meta = {
-        "edges": int(src.size),
-        "j1": float(j1.data),
-        "j2": float(j2.data),
-    }
+    loss, meta = _weighted_j(model, structure, src, pos, p.mass[src], p.mass[dst])
     return _finalize(model, loss, meta)
 
 
@@ -166,61 +181,35 @@ def jcsm_exact(model, p: TabularDistribution, structure: NeighborhoodStructure) 
 # Monte Carlo estimators
 
 
-def _flat_entries_t(model, structure, src_flat, positions) -> Tensor:
-    if hasattr(model, "score_entries_flat_t"):
-        return model.score_entries_flat_t(structure, src_flat, positions)
-    return _entries_t(model, structure, structure.space.states_of(src_flat), positions)
-
-
-def _slots(counts: np.ndarray, rng, full: bool):
-    """(row, slot, weight) picks over rows holding ``counts[row]`` slots each.
-
-    ``full`` takes every slot at weight 1; otherwise one slot per nonempty
-    row is drawn uniformly and upweighted by the row's count. Both are
-    unbiased for the per-row sum over slots.
-    """
-    if full:
-        rows = np.repeat(np.arange(counts.size), counts)
-        slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return rows, slots, 1.0
+def _slots(counts: np.ndarray, rng):
+    """(row, slot, weight): one slot per nonempty row, drawn uniformly and
+    upweighted by the row's count, unbiased for the per-row sum over slots."""
     rows = np.flatnonzero(counts > 0)
     return rows, rng.integers(0, counts[rows]), counts[rows].astype(np.float64)
 
 
-def _j1_term(
-    model, batch: np.ndarray, structure, rng, flat=None, full=False
-) -> tuple[Tensor, dict]:
+def _j1_term(model, batch: np.ndarray, structure, rng) -> tuple[Tensor, dict]:
     b = batch.shape[0]
-    if flat is None:
-        degs = structure.degrees_of(batch)
-    else:
-        indptr, _ = structure.adjacency()
-        degs = indptr[flat + 1] - indptr[flat]
+    degs = structure.degrees_of(batch)
     meta = {"batch": b, "j1_skipped_empty": int((degs == 0).sum())}
     if not degs.any():
         return Tensor(0.0), meta
-    rows, pos, weight = _slots(degs, rng, full)
-    if flat is None:
-        entries = _entries_t(model, structure, batch[rows], pos)
-    else:
-        entries = _flat_entries_t(model, structure, flat[rows], pos)
+    rows, pos, weight = _slots(degs, rng)
+    entries = _entries_t(model, structure, batch[rows], pos)
     per = ad.mul(ad.add(ad.square(entries), ad.mul(entries, 2.0)), weight)
     return ad.mul(ad.tsum(per), 1.0 / b), meta
 
 
-def _j2_term(
-    model, batch: np.ndarray, structure, rev: ReverseIndex, rng, flat=None, full=False
-) -> tuple[Tensor, dict]:
+def _j2_term(model, batch: np.ndarray, structure, rev: ReverseIndex, rng) -> tuple[Tensor, dict]:
     b = batch.shape[0]
-    if flat is None:
-        flat = structure.space.indices_of(batch)
+    flat = structure.space.indices_of(batch)
     counts = rev.indptr[flat + 1] - rev.indptr[flat]
     meta = {"batch": b, "j2_skipped_empty": int((counts == 0).sum())}
     if not counts.any():
         return Tensor(0.0), meta
-    rows, k, weight = _slots(counts, rng, full)
+    rows, k, weight = _slots(counts, rng)
     sel = rev.indptr[flat[rows]] + k
-    entries = _flat_entries_t(model, structure, rev.src[sel], rev.pos[sel])
+    entries = _entries_t(model, structure, rev.src[sel], rev.pos[sel])
     per = ad.mul(entries, 2.0 * weight)
     return ad.mul(ad.tsum(per), 1.0 / b), meta
 
@@ -240,12 +229,7 @@ def _j2_structured_term(model, batch: np.ndarray, structure, rng) -> tuple[Tenso
         meta = {"batch": b, "j2_skipped_empty": int((~live).sum())}
         if not live.any():
             return Tensor(0.0), meta
-        entries = _entries_t(
-            model,
-            structure,
-            space.states_of(pred[live]),
-            np.zeros(int(live.sum()), dtype=np.int64),
-        )
+        entries = _entries_t(model, structure, pred[live], np.zeros(int(live.sum()), dtype=np.int64))
         return ad.mul(ad.tsum(ad.mul(entries, 2.0)), 1.0 / b), meta
     if structure.kind != "grid":
         raise ValueError(
@@ -347,19 +331,36 @@ def estimate_j2_structured(model, minibatch: np.ndarray, structure, rng) -> Obje
 def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveValue:
     """Monte Carlo J1 - J2 over the minibatch, summed over whole neighborhoods.
 
-    Each batch state contributes its J1 term c^2 + 2c over every out-edge
-    and its J2 term 2c over every reverse-index entry, which is the
-    expectation of the single-draw estimators (:func:`estimate_j1`,
-    :func:`estimate_j2`) over their neighbor draw. The value stays unbiased
-    for J1 - J2 with lower variance, at a cost proportional to the degree;
-    on degree-1 structures (cycles, chains) the two coincide. ``rng`` is
-    accepted for the objective interface and not consumed.
+    Each batch state contributes c^2 + 2c over every out-edge and 2c over
+    every reverse-index entry: the expectation of :func:`estimate_j1` and
+    :func:`estimate_j2` over their neighbor draw, unbiased for J1 - J2 with
+    lower variance. That is :func:`jcsm_exact` at the batch histogram w /
+    batch size, evaluated once per edge that touches w: the reverse-index
+    entries of states with w > 0, and the out-edges of those states whose
+    destination has w = 0. A call costs O(distinct states x degree) plus
+    one bincount. ``rng`` is accepted for the interface and not consumed.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
-    flat = structure.space.indices_of(batch) if structure.space.enumerable else None
-    j1, m1 = _j1_term(model, batch, structure, rng, flat=flat, full=True)
-    j2, m2 = _j2_term(model, batch, structure, reverse_index, rng, flat=flat, full=True)
-    return _finalize(model, ad.sub(j1, j2), {**m1, **m2})
+    b, rev = batch.shape[0], reverse_index
+    indptr, indices = structure.adjacency()
+    w = np.bincount(structure.space.indices_of(batch), minlength=structure.space.total_states)
+    live, mass = np.flatnonzero(w), w / b
+    dst, sel, counts = _csr_rows(rev.indptr, live)
+    src, edge, degs = _csr_rows(indptr, live)
+    # out-edges into a batch state are reverse-index entries already
+    keep = np.flatnonzero(w[indices[edge]] == 0)
+    src, edge, r_src = src[keep], edge[keep], rev.src[sel]
+    loss, meta = _weighted_j(
+        model,
+        structure,
+        np.concatenate([r_src, src]),
+        np.concatenate([rev.pos[sel], edge - indptr[src]]),
+        np.concatenate([mass[r_src], mass[src]]),
+        np.concatenate([mass[dst], np.zeros(src.size)]),
+    )
+    meta.update(batch=b, j1_skipped_empty=int(w[live][degs == 0].sum()),
+                j2_skipped_empty=int(w[live][counts == 0].sum()))
+    return _finalize(model, loss, meta)
 
 
 def csm_structured_loss(model, minibatch, structure, rng) -> ObjectiveValue:
@@ -411,7 +412,7 @@ def dcsm_loss_exact(model, p: TabularDistribution, kernel: NoiseKernel, structur
     for d in range(space.ndim):
         q *= kernel.row(d)[np.ix_(states[:, d], states[:, d])]
     src, pos, dst = _all_edges(structure)
-    entries = _entries_t(model, structure, space.states_of(src), pos)
+    entries = _entries_t(model, structure, src, pos)
     e = src.size
     # weight of (clean i, edge k at noisy src[k]) and its target entry
     clean_idx = np.repeat(np.arange(n), e)

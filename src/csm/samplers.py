@@ -208,8 +208,10 @@ def run_chain(
 
     Keeps every ``thin``-th state after ``burn_in`` steps; ``steps=0``
     returns just the initial state. Refuses to start on a structure whose
-    undirected view is disconnected (skip with ``check_connected=False``
-    for non-enumerable spaces).
+    undirected view is disconnected; the check runs once per structure
+    and ``check_connected=False`` skips it. The space must be enumerable
+    either way: the ratio table is built over the CSR adjacency, so a
+    non-enumerable space raises ``EnumerationCapExceeded``.
     """
     space = structure.space
     init = space.validate_state(init)

@@ -118,6 +118,46 @@ class TestBackwardMechanics:
         out.backward()
         np.testing.assert_allclose(x.grad, 2 * np.exp(2.0))
 
+    def test_two_paths_mul_self(self):
+        x = ad.parameter(np.array([1.5, -2.0, 0.5]))
+        out = ad.tsum(ad.mul(x, x))
+        out.backward()
+        np.testing.assert_allclose(x.grad, 2 * x.data)
+
+    def test_two_paths_add_self_unaliased(self):
+        x = ad.parameter(np.array([1.5, -2.0, 0.5]))
+        y = ad.add(x, x)
+        out = ad.tsum(y)
+        out.backward()
+        np.testing.assert_allclose(x.grad, 2.0)
+        np.testing.assert_allclose(y.grad, 1.0)  # the sum did not land in y's gradient
+        assert not np.shares_memory(x.grad, y.grad)
+
+
+class TestScatterVJPs:
+    """gather / take_pairs gradients against an np.add.at reference."""
+
+    def test_gather_repeated_indices(self):
+        rng = np.random.default_rng(5)
+        for shape in ((6,), (6, 3)):
+            x = ad.parameter(rng.standard_normal(shape))
+            idx = np.array([4, 0, 4, 4, 2, 0, 5])
+            weights = rng.standard_normal((idx.size,) + shape[1:])
+            ad.tsum(ad.mul(ad.gather(x, idx), weights)).backward()
+            want = np.zeros(shape)
+            np.add.at(want, idx, weights)
+            np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+
+    def test_take_pairs_repeated_pairs(self):
+        rng = np.random.default_rng(6)
+        x = ad.parameter(rng.standard_normal((4, 3)))
+        rows, cols = np.array([0, 3, 0, 2, 3, 0]), np.array([1, 2, 1, 0, 2, 2])
+        weights = rng.standard_normal(rows.size)
+        ad.tsum(ad.mul(ad.take_pairs(x, rows, cols), weights)).backward()
+        want = np.zeros((4, 3))
+        np.add.at(want, (rows, cols), weights)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):

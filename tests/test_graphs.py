@@ -176,6 +176,20 @@ class TestConnectivity:
         structure = build_structure("explicit", DiscreteSpace((4,)), explicit_edges=edges)
         assert not is_weakly_connected(structure)
 
+    def test_whole_space_answer_is_cached(self, monkeypatch):
+        for structure, want in [
+            (build_structure("grid", DiscreteSpace((4, 4))), True),
+            (build_structure("explicit", DiscreteSpace((4,)),
+                             explicit_edges={(0,): [(1,)], (2,): [(3,)]}), False),
+        ]:
+            assert is_weakly_connected(structure) is want
+
+            def walk(x):
+                raise AssertionError("second call walked the graph")
+
+            monkeypatch.setattr(structure, "_neighbor_indices", walk)
+            assert is_weakly_connected(structure) is want
+
     def test_restricted_support(self):
         chain = build_structure("chain", DiscreteSpace((6,)))
         assert is_weakly_connected(chain, support=[(0,), (1,), (2,)])

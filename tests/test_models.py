@@ -7,6 +7,7 @@ from csm import autodiff as ad
 from csm.exact import TabularDistribution, concrete_score_exact
 from csm.graphs import DiscreteSpace, build_structure
 from csm.models import (
+    CheckpointError,
     LogitTableModel,
     MaskedARModel,
     ScoreNetModel,
@@ -188,6 +189,22 @@ class TestFit:
             fit(model, bad, samples, iterations=5, batch_size=4, lr=0.1, seed=0)
 
 
+    def test_batches_are_rows_of_the_seeded_draw(self):
+        """fit draws samples[rng.integers(0, N, size=batch)] each iteration."""
+        samples = np.random.default_rng(3).integers(0, 8, size=(300, 2))
+        model = LogitTableModel(DiscreteSpace((8, 8)), seed=0)
+        seen = []
+
+        def record(m, b, r):
+            seen.append(b.copy())
+            return nll_loss(m, b)
+
+        fit(model, record, samples, iterations=4, batch_size=16, lr=1e-2, seed=11)
+        rng = np.random.default_rng(11)
+        for batch in seen:
+            np.testing.assert_array_equal(batch, samples[rng.integers(0, 300, size=16)])
+
+
 class TestCheckpoints:
     def test_logit_table_round_trip(self, tmp_path):
         space = DiscreteSpace((5, 3))
@@ -217,6 +234,20 @@ class TestCheckpoints:
         x = np.array([[0, 1, 0, 1]])
         for orig, back in zip(models_list, loaded):
             np.testing.assert_allclose(back.log_mass_t(x).data, orig.log_mass_t(x).data)
+
+
+    @pytest.mark.parametrize("bundle", [False, True])
+    def test_payload_size_must_match_header(self, tmp_path, bundle):
+        models_list = [MaskedARModel(3, hidden=(4,), seed=s) for s in (0, 1)]
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, models_list if bundle else models_list[0])
+        good = path.read_bytes()
+        path.write_bytes(good + b"\x00" * 8)  # one float64 too many
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+        path.write_bytes(good[:-3])  # cut inside the last parameter
+        with pytest.raises(CheckpointError, match="too short"):
+            load_checkpoint(path)
 
 
 class TestGradientFlow:

@@ -1,5 +1,7 @@
 """Objectives: hand-computed values, unbiasedness, equivalence, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,93 @@ class TestUnbiasedness:
         a = obj.estimate_j2(model, batch, structure, rev, rng).value
         b = obj.estimate_j2_structured(model, batch, structure, rng).value
         assert a == pytest.approx(b, abs=1e-12)  # both deterministic given the batch
+
+
+def _explicit_two_regular():
+    """Directed explicit graph over 8 states, two out-edges per state."""
+    space = DiscreteSpace((8,))
+    edges = {(i,): [((i + 1) % 8,), ((i + 3) % 8,)] for i in range(8)}
+    return build_structure("explicit", space, explicit_edges=edges)
+
+
+HISTOGRAM_CASES = {
+    "chain": lambda: build_structure("chain", DiscreteSpace((10,))),
+    "cycle": lambda: build_structure("cycle", DiscreteSpace((10,))),
+    "star": lambda: build_structure("star", DiscreteSpace((9,))),
+    "complete": lambda: build_structure("complete", DiscreteSpace((7,))),
+    "explicit": _explicit_two_regular,
+    "grid_drop": lambda: build_structure("grid", DiscreteSpace((5, 4))),
+    "grid_wrap": lambda: build_structure("grid", DiscreteSpace((5, 4)), boundary="wrap"),
+    "grid_binary": lambda: build_structure("grid", DiscreteSpace((2, 2, 2, 2))),
+}
+
+
+def _sparse_batch(space, rng):
+    """Repeated draws from a third of the states, plus state 0 twice: the
+    batch repeats states and holds states whose in-neighbours have no mass."""
+    keep = rng.choice(space.total_states, size=max(2, space.total_states // 3), replace=False)
+    flat = np.concatenate([rng.choice(keep, size=25), [0, 0]])
+    return space.states_of(flat)
+
+
+def _assert_matches_histogram(model, batch, structure):
+    rev = build_reverse_index(structure)
+    mc = obj.csm_mc_loss(model, batch, structure, rev, np.random.default_rng(0))
+    hist = TabularDistribution.from_samples(structure.space, batch)
+    exact = obj.jcsm_exact(model, hist, structure)
+    assert abs(mc.value - exact.value) <= 1e-10
+    for name, grad in mc.grads.items():
+        assert np.abs(grad - exact.grads[name]).max() <= 1e-10, name
+    return mc
+
+
+class TestHistogramKernel:
+    """csm_mc_loss is jcsm_exact at the batch histogram, over touched edges only."""
+
+    @pytest.mark.parametrize("case", sorted(HISTOGRAM_CASES))
+    def test_logit_table_matches_jcsm_exact(self, case):
+        structure = HISTOGRAM_CASES[case]()
+        rng = np.random.default_rng(31)
+        model = LogitTableModel(structure.space)
+        model.params["logits"].data = rng.standard_normal(structure.space.total_states)
+        batch = _sparse_batch(structure.space, rng)
+        mc = _assert_matches_histogram(model, batch, structure)
+        # the batch histogram leaves some in-neighbours of batch states empty
+        w = np.bincount(structure.space.indices_of(batch), minlength=structure.space.total_states)
+        rev = build_reverse_index(structure)
+        dst = np.repeat(np.arange(w.size), np.diff(rev.indptr))
+        assert np.any((w[dst] > 0) & (w[rev.src] == 0))
+        # exactly the edges with mass at their source or destination
+        indptr, indices = structure.adjacency()
+        src = np.repeat(np.arange(w.size), np.diff(indptr))
+        assert mc.meta["edges"] == int(np.count_nonzero((w[src] > 0) | (w[indices] > 0)))
+
+    @pytest.mark.parametrize("case", ["cycle", "complete", "explicit", "grid_wrap", "grid_binary"])
+    def test_score_net_matches_jcsm_exact(self, case):
+        structure = HISTOGRAM_CASES[case]()
+        net = ScoreNetModel(structure.space, degree=structure.uniform_degree(), hidden=(6,), seed=3)
+        _assert_matches_histogram(net, _sparse_batch(structure.space, np.random.default_rng(32)), structure)
+
+    def test_in_edges_from_outside_the_batch_come_from_the_reverse_index(self):
+        """A reverse index filed under the wrong destinations changes the loss."""
+        structure = HISTOGRAM_CASES["grid_drop"]()
+        model = LogitTableModel(structure.space)
+        model.params["logits"].data = np.random.default_rng(33).standard_normal(20)
+        states = structure.space.all_states()
+        batch = np.concatenate([states[3:], states[5:9]])  # states 0-2 hold no mass
+        rev = build_reverse_index(structure)
+        shuffled = dataclasses.replace(rev, src=rev.src[::-1].copy(), pos=rev.pos[::-1].copy())
+        good = obj.csm_mc_loss(model, batch, structure, rev, None).value
+        assert abs(obj.csm_mc_loss(model, batch, structure, shuffled, None).value - good) > 1e-3
+
+    def test_empty_neighbourhoods_counted(self):
+        """The star hub has no out-edges; a leaf has no in-edges."""
+        structure = HISTOGRAM_CASES["star"]()
+        rev = build_reverse_index(structure)
+        out = obj.csm_mc_loss(LogitTableModel(structure.space), np.array([[0], [0], [3]]),
+                              structure, rev, None)
+        assert out.meta["j1_skipped_empty"] == 2
+        assert out.meta["j2_skipped_empty"] == 1
 
 
 class TestNoiseKernel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csm.exact import TabularDistribution, TabularScoreModel, kl_and_tv
-from csm.graphs import DiscreteSpace, build_structure
+from csm.graphs import DiscreteSpace, EnumerationCapExceeded, build_structure
 from csm.models import LogitTableModel
 from csm.samplers import (
     ChainState,
@@ -207,6 +207,14 @@ class TestRunChain:
         empirical = TabularDistribution.from_samples(space, samples)
         _, tv = kl_and_tv(empirical, p)
         assert tv < 0.03
+
+
+    def test_needs_enumerable_space_without_connectivity_check(self):
+        """The ratio table needs the CSR adjacency even when the check is skipped."""
+        grid = build_structure("grid", DiscreteSpace((10, 10), enumeration_cap=50))
+        model = LogitTableModel(DiscreteSpace((10, 10)))
+        with pytest.raises(EnumerationCapExceeded):
+            run_chain(model, grid, (0, 0), 10, seed=0, check_connected=False)
 
 
 class TestAnnealed:
