@@ -87,12 +87,9 @@ def equivalence_suite(seed: int = 0, tol: float = 1e-8) -> list[CheckResult]:
 def _edge_table(model, structure):
     """All directed edges with per-edge scores and affected dimension."""
     space = structure.space
-    indptr, indices = structure.adjacency()
-    degs = np.diff(indptr)
-    src = np.repeat(np.arange(space.total_states, dtype=np.int64), degs)
-    pos = np.arange(indptr[-1], dtype=np.int64) - indptr[src]
+    src, pos, dst = structure.edges()
     scores = model.score_entries(structure, space.states_of(src), pos)
-    return src, pos, indices, scores
+    return src, pos, dst, scores
 
 
 def _enumerated_j_stats(model, p, structure):

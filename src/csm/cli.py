@@ -17,7 +17,7 @@ import numpy as np
 
 from . import checks, data, models, objectives, samplers
 from .exact import TabularDistribution, kl_and_tv
-from .graphs import DiscreteSpace, build_reverse_index, build_structure, load_explicit_edges
+from .graphs import BOUNDARIES, KINDS, DiscreteSpace, build_reverse_index, build_structure, load_explicit_edges
 from .io import atomic_write, write_csv, write_histogram_pgm, write_samples_csv
 
 
@@ -56,11 +56,11 @@ class RunConfig:
         known_datasets = ("toy1d",) + data.TOY_2D_NAMES
         if self.dataset not in known_datasets and not self.dataset.startswith("csv:"):
             raise ValueError(f"unknown dataset {self.dataset!r}")
-        if self.structure.split(":", 1)[0] not in ("chain", "cycle", "star", "grid", "complete", "explicit"):
+        if self.structure.split(":", 1)[0] not in KINDS:
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.boundary not in ("drop", "wrap"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
-        if self.model not in ("logit_table", "score_net", "masked_ar"):
+        if self.model not in models._MODEL_KINDS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.objective not in objectives.OBJECTIVE_NAMES:
             raise ValueError(f"unknown objective {self.objective!r}")

@@ -10,7 +10,6 @@ determines the distribution, and :func:`reconstruct_density` inverts it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -120,10 +119,9 @@ def concrete_score_exact(
     px = p.prob(x)
     if px <= 0:
         raise ValueError(f"distribution has zero mass at {x}")
-    nbrs = structure.neighbors(x)
-    if not nbrs:
-        return np.empty(0)
-    return np.array([p.prob(nb) for nb in nbrs]) / px - 1.0
+    indptr, indices = structure.adjacency()
+    i = p.space.index_of(x)
+    return p.mass[indices[indptr[i] : indptr[i + 1]]] / px - 1.0
 
 
 class TabularScoreModel:
@@ -145,29 +143,31 @@ class TabularScoreModel:
         return self.dist.probs_of(dst) / self.dist.probs_of(states) - 1.0
 
 
-def _support_indices(
+def _support_mask(
     structure: NeighborhoodStructure, support: Iterable[Sequence[int]] | None
-) -> list[int]:
+) -> np.ndarray:
+    """Membership of every flat state in ``support`` (all states when it is None)."""
     space = structure.space
+    n = space.require_enumerable("density reconstruction")
     if support is None:
-        return list(range(space.require_enumerable("density reconstruction")))
-    idx = sorted({space.index_of(space.validate_state(s)) for s in support})
-    if not idx:
+        return np.ones(n, dtype=bool)
+    member = np.zeros(n, dtype=bool)
+    member[[space.index_of(space.validate_state(s)) for s in support]] = True
+    if not member.any():
         raise ValueError("empty support")
-    return idx
+    return member
 
 
-def _undirected_support_view(structure, members):
-    """(neighbor lists restricted to support) in undirected-view terms."""
-    indptr, dst, pos, fwd = structure.undirected_view()
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for u in members:
-        adj[u] = [
-            (int(dst[k]), int(pos[k]), bool(fwd[k]))
-            for k in range(indptr[u], indptr[u + 1])
-            if int(dst[k]) in members
-        ]
-    return adj
+def _checked_scores(score_fn, structure: NeighborhoodStructure, i: int) -> np.ndarray:
+    """``score_fn`` at flat state i, refused unless it has one entry per neighbor."""
+    c = np.asarray(score_fn(structure.space.state_of(i)), dtype=np.float64)
+    indptr, _ = structure.adjacency()
+    if c.shape != (indptr[i + 1] - indptr[i],):
+        raise ValueError(
+            f"score_fn returned shape {c.shape} at state {structure.space.state_of(i)}, "
+            f"which has {indptr[i + 1] - indptr[i]} neighbors"
+        )
+    return c
 
 
 def reconstruct_density(
@@ -178,61 +178,64 @@ def reconstruct_density(
 ) -> TabularDistribution:
     """Rebuild the distribution a score function encodes.
 
-    Walks a BFS spanning tree of the undirected induced graph, summing
+    Walks a BFS spanning tree of the structure's undirected view, read
+    from its CSR lists and restricted to the support, summing
     log(score entry + 1) along each tree edge (negated when the edge is
     traversed against its direction), then normalizes by log-sum-exp.
-    Off-tree edges are ignored; see :func:`max_cycle_residual` for the
-    consistency diagnostic. Entries at or below -1 are clamped to
-    -1 + 1e-9 and counted in a warning.
+    ``score_fn`` is called at most once per state, at the owners of tree
+    edges, and must return one entry per neighbor of that state. Off-tree
+    edges are ignored; see :func:`max_cycle_residual` for the consistency
+    diagnostic. Entries at or below -1 are clamped to -1 + 1e-9 and
+    counted in a warning.
     """
     space = structure.space
-    members_list = _support_indices(structure, support)
-    members = set(members_list)
-    adj = _undirected_support_view(structure, members)
-
-    root_idx = members_list[0] if root is None else space.index_of(space.validate_state(root))
-    if root_idx not in members:
+    member = _support_mask(structure, support)
+    root_idx = int(np.argmax(member)) if root is None else space.index_of(space.validate_state(root))
+    if not member[root_idx]:
         raise ValueError("root must belong to the support")
 
     scores: dict[int, np.ndarray] = {}
 
     def entry(state_idx: int, pos: int, clamped: list) -> float:
         if state_idx not in scores:
-            scores[state_idx] = np.asarray(score_fn(space.state_of(state_idx)), dtype=np.float64)
+            scores[state_idx] = _checked_scores(score_fn, structure, state_idx)
         c = float(scores[state_idx][pos])
         if c <= -1.0 + SCORE_CLAMP:
             clamped.append(state_idx)
             c = -1.0 + SCORE_CLAMP
         return c
 
+    indptr, dst, pos, fwd = (a.tolist() for a in structure.undirected_view())
+    seen = (~member).tolist()
+    seen[root_idx] = True
     clamped: list = []
-    logmass = {root_idx: 0.0}
+    lm = np.full(space.total_states, -np.inf)
+    lm[root_idx] = 0.0
     frontier = [root_idx]
     while frontier:
         nxt = []
         for u in frontier:
-            for v, pos, forward in adj[u]:
-                if v in logmass:
+            for k in range(indptr[u], indptr[u + 1]):
+                v = dst[k]
+                if seen[v]:
                     continue
-                if forward:
-                    logmass[v] = logmass[u] + np.log1p(entry(u, pos, clamped))
+                if fwd[k]:
+                    lm[v] = lm[u] + np.log1p(entry(u, pos[k], clamped))
                 else:
-                    logmass[v] = logmass[u] - np.log1p(entry(v, pos, clamped))
+                    lm[v] = lm[u] - np.log1p(entry(v, pos[k], clamped))
+                seen[v] = True
                 nxt.append(v)
         frontier = nxt
-    if len(logmass) != len(members):
+    if not all(seen):
+        n_members = int(member.sum())
         raise ValueError(
-            f"structure is disconnected on the support: reached {len(logmass)} "
-            f"of {len(members)} states"
+            f"structure is disconnected on the support: reached "
+            f"{n_members - seen.count(False)} of {n_members} states"
         )
     if clamped:
         log.warning("reconstruct_density clamped %d score entries at -1", len(clamped))
 
-    lm = np.full(space.total_states, -np.inf)
-    for i, v in logmass.items():
-        lm[i] = v
-    peak = max(logmass.values())
-    mass = np.exp(lm - peak)
+    mass = np.exp(lm - lm.max())
     return TabularDistribution(space, mass / mass.sum())
 
 
@@ -247,20 +250,20 @@ def max_cycle_residual(
     distribution on the support; large values flag a score field that is
     not the score of any distribution.
     """
+    support = None if support is None else list(support)  # read twice below
     recon = reconstruct_density(score_fn, structure, support=support)
-    space = structure.space
-    members = set(_support_indices(structure, support))
+    member = _support_mask(structure, support)
     with np.errstate(divide="ignore"):
         lm = np.log(recon.mass)
-    worst = 0.0
-    for u in members:
-        c = np.asarray(score_fn(space.state_of(u)), dtype=np.float64)
-        for pos, v in enumerate(structure._neighbor_indices(space.state_of(u))):
-            if v not in members:
-                continue
-            resid = abs((lm[v] - lm[u]) - np.log1p(max(c[pos], -1.0 + SCORE_CLAMP)))
-            worst = max(worst, float(resid))
-    return worst
+    # edges leaving the support's states, grouped by ascending source as the scores are
+    src, _, dst = structure.edges()
+    src, dst = src[member[src]], dst[member[src]]
+    members = np.flatnonzero(member).tolist()
+    c = np.concatenate([np.empty(0)] + [_checked_scores(score_fn, structure, u) for u in members])
+    inside = member[dst]
+    src, dst, c = src[inside], dst[inside], c[inside]
+    resid = np.abs((lm[dst] - lm[src]) - np.log1p(np.maximum(c, -1.0 + SCORE_CLAMP)))
+    return float(resid.max(initial=0.0))
 
 
 def scaled_score_limit(

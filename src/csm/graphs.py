@@ -16,13 +16,20 @@ Supported kinds:
 - ``complete``: every other state, ascending flat order
 - ``explicit``: user-supplied adjacency
 
+On an enumerable space the graph is its CSR adjacency over flat indices
+(:meth:`NeighborhoodStructure.adjacency`), built per kind by array
+arithmetic. Neighbors, degrees, the edge list, the undirected view, the
+reverse index and the connectivity check all derive from those arrays.
+A grid beyond the enumeration cap has no CSR arrays; its neighbors come
+from the same per-dimension arithmetic that builds a grid's adjacency.
+
 Structures are immutable after construction; internal adjacency caches
 are built lazily and are safe to share across read-only workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -121,22 +128,13 @@ class DiscreteSpace:
         idx = np.asarray(indices, dtype=np.int64)
         if self.enumerable:
             return self.all_states()[idx]
-        out = np.empty((idx.size, self.ndim), dtype=np.int64)
-        rem = idx.copy()
-        for d in range(self.ndim - 1, -1, -1):
-            out[:, d] = rem % self.dims[d]
-            rem //= self.dims[d]
-        return out
+        return np.stack(np.unravel_index(idx.ravel(), self.dims), axis=1)
 
     def all_states(self) -> np.ndarray:
         """Every state as an (n, D) array in flat-index order (cached)."""
         if self._state_table is None:
             n = self.require_enumerable("all_states")
-            table = np.empty((n, self.ndim), dtype=np.int64)
-            rem = np.arange(n)
-            for d in range(self.ndim - 1, -1, -1):
-                table[:, d] = rem % self.dims[d]
-                rem //= self.dims[d]
+            table = np.stack(np.unravel_index(np.arange(n), self.dims), axis=1)
             table.flags.writeable = False
             object.__setattr__(self, "_state_table", table)
         return self._state_table
@@ -173,89 +171,65 @@ class NeighborhoodStructure:
         self.kind = kind
         self.space = space
         self.boundary = boundary
-        self._explicit: dict[int, tuple[int, ...]] | None = None
+        self._adj: tuple[np.ndarray, np.ndarray] | None = None
         if kind == "explicit":
             if explicit_edges is None:
                 raise ValueError("explicit kind requires an adjacency mapping")
-            self._explicit = self._validate_explicit(explicit_edges)
+            self._adj = self._validate_explicit(explicit_edges)
         elif explicit_edges is not None:
             raise ValueError("explicit_edges only allowed for the explicit kind")
-        self._adj: tuple[np.ndarray, np.ndarray] | None = None
         self._und: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._connected: bool | None = None
 
-    def _validate_explicit(self, edges) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, tuple[int, ...]] = {}
+    def _validate_explicit(self, edges) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays of a user-supplied adjacency mapping; unlisted states have no neighbors."""
+        space = self.space
+        rows: dict[int, list[int]] = {}
         for src, nbrs in edges.items():
-            s = self.space.validate_state(src)
-            flat = []
-            for nbr in nbrs:
-                t = self.space.validate_state(nbr)
-                if t == s:
-                    raise ValueError(f"self-loop at {s}")
-                flat.append(self.space.index_of(t))
+            s = space.validate_state(src)
+            i = space.index_of(s)
+            flat = [space.index_of(space.validate_state(t)) for t in nbrs]
+            if i in flat:
+                raise ValueError(f"self-loop at {s}")
             if len(set(flat)) != len(flat):
                 raise ValueError(f"duplicate neighbors listed for state {s}")
-            adj[self.space.index_of(s)] = tuple(flat)
-        return adj
+            rows[i] = flat
+        degs = np.zeros(space.total_states, dtype=np.int64)
+        degs[list(rows)] = [len(flat) for flat in rows.values()]
+        return _indptr(degs), np.array([j for i in sorted(rows) for j in rows[i]], dtype=np.int64)
 
     # -- single-state queries -------------------------------------------------
 
     def neighbors(self, x: Sequence[int]) -> list[State]:
         """Ordered neighbor list of one state (deterministic across calls)."""
         x = self.space.validate_state(x)
-        return [self.space.state_of(i) for i in self._neighbor_indices(x)]
+        if self.space.enumerable:
+            indptr, indices = self.adjacency()
+            i = self.space.index_of(x)
+            dst = self.space.states_of(indices[indptr[i] : indptr[i + 1]])
+        else:
+            deg = self.degree(x)
+            dst = self._grid_neighbor_at(np.tile(np.asarray(x), (deg, 1)), np.arange(deg))
+        return [tuple(s) for s in dst.tolist()]
 
     def degree(self, x: Sequence[int]) -> int:
-        return len(self._neighbor_indices(self.space.validate_state(x)))
-
-    def _neighbor_indices(self, x: State) -> list[int]:
-        space = self.space
-        if self.kind == "grid":
-            out = []
-            for d, n in enumerate(space.dims):
-                v = x[d]
-                if n == 2:
-                    out.append(space.index_of(x[:d] + (1 - v,) + x[d + 1 :]))
-                    continue
-                if self.boundary == "wrap" or v + 1 < n:
-                    out.append(space.index_of(x[:d] + ((v + 1) % n,) + x[d + 1 :]))
-                if self.boundary == "wrap" or v > 0:
-                    out.append(space.index_of(x[:d] + ((v - 1) % n,) + x[d + 1 :]))
-            return out
-        i = space.index_of(x)
-        n = space.total_states
-        if self.kind == "chain":
-            return [] if i == n - 1 else [i + 1]
-        if self.kind == "cycle":
-            return [(i + 1) % n]
-        if self.kind == "star":
-            return [] if i == 0 else [0]
-        if self.kind == "complete":
-            return [j for j in range(n) if j != i]
-        assert self._explicit is not None
-        return list(self._explicit.get(i, ()))
+        x = self.space.validate_state(x)
+        if self.space.enumerable:
+            indptr, _ = self.adjacency()
+            i = self.space.index_of(x)
+            return int(indptr[i + 1] - indptr[i])
+        return int(self.grid_dim_degrees(np.asarray([x])).sum())
 
     def uniform_degree(self) -> int | None:
         """Common neighbor count when every state has the same degree, else None."""
-        if self.kind == "cycle":
-            return 1
-        if self.kind == "complete":
+        if self.kind == "complete":  # its CSR arrays may exceed EDGE_CAP
             return self.space.total_states - 1
-        if self.kind == "grid":
+        if self.kind == "grid":  # the grid may lie beyond the enumeration cap
             if self.boundary == "wrap" or all(n == 2 for n in self.space.dims):
                 return sum(1 if n == 2 else 2 for n in self.space.dims)
             return None
-        if self.kind in ("chain", "star"):
-            return None
-        indptr, _ = self.adjacency()
-        degs = np.diff(indptr)
-        return int(degs[0]) if degs.size and np.all(degs == degs[0]) else None
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when every edge has its reverse (grid and complete kinds)."""
-        return self.kind in ("grid", "complete")
+        degs = np.diff(self.adjacency()[0])
+        return int(degs[0]) if np.all(degs == degs[0]) else None
 
     # -- batched queries ------------------------------------------------------
 
@@ -291,15 +265,16 @@ class NeighborhoodStructure:
             return self._grid_neighbor_at(states, positions)
         indptr, indices = self.adjacency()
         flat = self.space.indices_of(states)
-        if np.any(positions >= indptr[flat + 1] - indptr[flat]):
+        if ((positions < 0) | (positions >= indptr[flat + 1] - indptr[flat])).any():
             raise ValueError("neighbor position out of range")
         return self.space.states_of(indices[indptr[flat] + positions])
 
     def _grid_neighbor_at(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The grid rule: neighbor ``positions[j]`` of ``states[j]`` by arithmetic."""
         dims = np.asarray(self.space.dims, dtype=np.int64)
         degs = self.grid_dim_degrees(states)
         cum = np.cumsum(degs, axis=1)
-        if np.any(positions >= cum[:, -1]):
+        if ((positions < 0) | (positions >= cum[:, -1])).any():
             raise ValueError("neighbor position out of range")
         dim = (positions[:, None] >= cum).sum(axis=1)
         within = positions - np.where(dim > 0, cum[np.arange(len(dim)), dim - 1], 0)
@@ -320,9 +295,7 @@ class NeighborhoodStructure:
         batch state, where ``row`` indexes back into the batch.
         """
         states = np.asarray(states, dtype=np.int64)
-        degs = self.degrees_of(states)
-        row = np.repeat(np.arange(states.shape[0]), degs)
-        pos = np.arange(degs.sum()) - np.repeat(np.cumsum(degs) - degs, degs)
+        row, pos = csr_rows(_indptr(self.degrees_of(states)))
         dst = self.neighbor_states_at(states[row], pos)
         return row, pos, dst
 
@@ -337,18 +310,37 @@ class NeighborhoodStructure:
             raise EnumerationCapExceeded(
                 f"complete structure over {n} states has too many edges"
             )
-        counts = np.zeros(n + 1, dtype=np.int64)
-        rows: list[list[int]] = []
-        for i in range(n):
-            nbrs = self._neighbor_indices(self.space.state_of(i))
-            counts[i + 1] = len(nbrs)
-            rows.append(nbrs)
-        indptr = np.cumsum(counts)
-        indices = np.fromiter(
-            (j for nbrs in rows for j in nbrs), dtype=np.int64, count=indptr[-1]
-        )
-        self._adj = (indptr, indices)
+        degs = np.ones(n, dtype=np.int64)
+        if self.kind == "grid":
+            states = self.space.all_states()
+            degs = self.grid_dim_degrees(states).sum(axis=1)
+            # one neighbor slot at a time keeps the temporaries at (n, D), not (edges, D)
+            slots = np.arange(degs.max()) < degs[:, None]
+            nbr = np.zeros(slots.shape, dtype=np.int64)
+            for p, has in enumerate(slots.T):
+                moved = self._grid_neighbor_at(states[has], np.full(int(has.sum()), p))
+                nbr[has, p] = self.space.indices_of(moved)
+            indices = nbr[slots]
+        elif self.kind == "chain":
+            degs[-1] = 0
+            indices = np.arange(1, n, dtype=np.int64)
+        elif self.kind == "cycle":
+            indices = (np.arange(n, dtype=np.int64) + 1) % n
+        elif self.kind == "star":
+            degs[0] = 0
+            indices = np.zeros(n - 1, dtype=np.int64)
+        else:  # complete: every other state, ascending
+            degs[:] = n - 1
+            j = np.arange(n - 1, dtype=np.int64)
+            indices = (j + (j >= np.arange(n)[:, None])).ravel()
+        self._adj = (_indptr(degs), indices)
         return self._adj
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every directed edge as (src, pos, dst) in CSR order: dst = N(src)[pos]."""
+        indptr, indices = self.adjacency()
+        src, pos = csr_rows(indptr)
+        return src, pos, indices
 
     def undirected_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Symmetrized adjacency for proposal kernels.
@@ -357,40 +349,35 @@ class NeighborhoodStructure:
         entry k, ``dst[k]`` is an undirected neighbor v. When forward[k]
         is True, v = N(u)[pos[k]]; otherwise u = N(v)[pos[k]] and the
         edge is traversed against its direction. States adjacent in both
-        directions appear once, as a forward entry.
+        directions appear once, as a forward entry. Each state lists its
+        forward entries in neighbor order, then its reverse entries by
+        ascending source.
         """
         if self._und is not None:
             return self._und
-        indptr, indices = self.adjacency()
+        src, pos, dst = self.edges()
         n = self.space.total_states
-        per_state: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
-        seen: list[set[int]] = [set() for _ in range(n)]
-        for u in range(n):
-            for k in range(indptr[u], indptr[u + 1]):
-                v = int(indices[k])
-                pos = k - indptr[u]
-                per_state[u].append((v, pos, True))
-                seen[u].add(v)
-        for u in range(n):
-            for k in range(indptr[u], indptr[u + 1]):
-                v = int(indices[k])
-                if u not in seen[v]:
-                    per_state[v].append((u, k - indptr[u], False))
-                    seen[v].add(u)
-        u_indptr = np.zeros(n + 1, dtype=np.int64)
-        for u in range(n):
-            u_indptr[u + 1] = u_indptr[u] + len(per_state[u])
-        total = int(u_indptr[-1])
-        dst = np.empty(total, dtype=np.int64)
-        pos = np.empty(total, dtype=np.int64)
-        fwd = np.empty(total, dtype=bool)
-        k = 0
-        for u in range(n):
-            for v, p, f in per_state[u]:
-                dst[k], pos[k], fwd[k] = v, p, f
-                k += 1
-        self._und = (u_indptr, dst, pos, fwd)
+        rev = ~np.isin(dst * n + src, src * n + dst, assume_unique=True)
+        owner = np.concatenate([src, dst[rev]])
+        other = np.concatenate([dst, src[rev]])
+        pos = np.concatenate([pos, pos[rev]])
+        fwd = np.arange(owner.size) < src.size
+        order = np.lexsort((np.where(fwd, pos, other), ~fwd, owner))
+        indptr = _indptr(np.bincount(owner, minlength=n))
+        self._und = (indptr, other[order], pos[order], fwd[order])
         return self._und
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows with the given entry counts."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+
+
+def csr_rows(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, offset) of every entry of a CSR array: the row that owns it and
+    its position within that row."""
+    row = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return row, np.arange(indptr[-1], dtype=np.int64) - indptr[row]
 
 
 def build_structure(
@@ -432,7 +419,7 @@ class ReverseIndex:
     """Maps each state x' to every (x, i) pair with N(x)[i] = x'.
 
     Stored as CSR over flat destination indices so estimator draws are
-    O(1); :meth:`entries` gives the tuple-state view.
+    O(1): the pairs of x' are ``src``/``pos`` over ``indptr[x']:indptr[x' + 1]``.
     """
 
     structure: NeighborhoodStructure
@@ -440,19 +427,9 @@ class ReverseIndex:
     src: np.ndarray
     pos: np.ndarray
 
-    def count(self, x: Sequence[int]) -> int:
-        i = self.structure.space.index_of(self.structure.space.validate_state(x))
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def counts_of(self, states: np.ndarray) -> np.ndarray:
         flat = self.structure.space.indices_of(np.asarray(states, dtype=np.int64))
         return self.indptr[flat + 1] - self.indptr[flat]
-
-    def entries(self, x: Sequence[int]) -> list[tuple[State, int]]:
-        space = self.structure.space
-        i = space.index_of(space.validate_state(x))
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return [(space.state_of(int(s)), int(p)) for s, p in zip(self.src[lo:hi], self.pos[lo:hi])]
 
     @property
     def total_edges(self) -> int:
@@ -462,39 +439,28 @@ class ReverseIndex:
 def build_reverse_index(structure: NeighborhoodStructure) -> ReverseIndex:
     """Invert the neighbor map; costs O(number of edges)."""
     n = structure.space.require_enumerable("reverse index")
-    indptr, indices = structure.adjacency()
-    order = np.argsort(indices, kind="stable")
-    counts = np.bincount(indices, minlength=n)
-    rev_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=rev_indptr[1:])
-    src_of_edge = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    pos_of_edge = np.arange(indptr[-1], dtype=np.int64) - indptr[src_of_edge]
-    return ReverseIndex(
-        structure=structure,
-        indptr=rev_indptr,
-        src=src_of_edge[order],
-        pos=pos_of_edge[order],
-    )
+    src, pos, dst = structure.edges()
+    order = np.argsort(dst, kind="stable")
+    indptr = _indptr(np.bincount(dst, minlength=n))
+    return ReverseIndex(structure=structure, indptr=indptr, src=src[order], pos=pos[order])
 
 
-class _UnionFind:
-    def __init__(self, ids: Iterable[int]):
-        self.parent = {i: i for i in ids}
-        self.n_components = len(self.parent)
+def _is_single_component(n: int, a: np.ndarray, b: np.ndarray) -> bool:
+    """True iff the undirected edges (a[k], b[k]) join all of 0..n-1.
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.n_components -= 1
+    Each round hooks every root to the smallest root it shares an edge with
+    and pointer-jumps to the new roots. Hooks point to smaller labels, so
+    they form a forest; unlike min-label propagation, the rounds do not grow
+    with the graph's diameter.
+    """
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        if np.array_equal(ra, rb):
+            return bool(np.all(parent == parent[0]))
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
 
 
 def is_weakly_connected(
@@ -503,24 +469,22 @@ def is_weakly_connected(
     """True iff the undirected view restricted to ``support`` is connected.
 
     ``support=None`` means the whole (enumerable) space, and the answer
-    is cached on the structure. Edges leaving the support are ignored.
+    is cached on the structure. Edges leaving the support are ignored; a
+    support on a grid beyond the enumeration cap is checked by grid arithmetic.
     """
     space = structure.space
     if support is None:
-        if structure._connected is not None:
-            return structure._connected
-        n = space.require_enumerable("connectivity check")
-        ids = range(n)
-    else:
-        ids = sorted({space.index_of(space.validate_state(s)) for s in support})
-        if not ids:
-            raise ValueError("empty support")
-    members = set(ids)
-    uf = _UnionFind(members)
-    for i in members:
-        for j in structure._neighbor_indices(space.state_of(i)):
-            if j in members:
-                uf.union(i, j)
-    if support is None:
-        structure._connected = uf.n_components == 1
-    return uf.n_components == 1
+        if structure._connected is None:
+            n = space.require_enumerable("connectivity check")
+            src, _, dst = structure.edges()
+            structure._connected = _is_single_component(n, src, dst)
+        return structure._connected
+    states = np.asarray([space.validate_state(s) for s in support], dtype=np.int64)
+    if not states.size:
+        raise ValueError("empty support")
+    members, first = np.unique(space.indices_of(states), return_index=True)
+    row, _, nbr = structure.all_neighbors_of(states[first])
+    flat = space.indices_of(nbr)
+    at = np.minimum(np.searchsorted(members, flat), members.size - 1)
+    inside = members[at] == flat
+    return _is_single_component(members.size, row[inside], at[inside])

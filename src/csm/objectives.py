@@ -125,14 +125,6 @@ def _csr_rows(indptr: np.ndarray, rows: np.ndarray):
     return np.repeat(rows, counts), np.arange(shift.size) + shift, counts
 
 
-def _all_edges(structure: NeighborhoodStructure):
-    indptr, indices = structure.adjacency()
-    degs = np.diff(indptr)
-    src = np.repeat(np.arange(structure.space.total_states, dtype=np.int64), degs)
-    pos = np.arange(indptr[-1], dtype=np.int64) - indptr[src]
-    return src, pos, indices
-
-
 def _weighted_j(model, structure, src, pos, alpha, beta) -> tuple[Tensor, dict]:
     """J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the edges (src, pos), where
     alpha and beta are the masses at each edge's source and destination: of a
@@ -155,7 +147,7 @@ def csm_loss_exact(model, p: TabularDistribution, structure: NeighborhoodStructu
     (their score target is undefined).
     """
     space = structure.space
-    src, pos, dst = _all_edges(structure)
+    src, pos, dst = structure.edges()
     w = p.mass[src]
     keep = w > 0
     src, pos, dst, w = src[keep], pos[keep], dst[keep], w[keep]
@@ -172,7 +164,7 @@ def jcsm_exact(model, p: TabularDistribution, structure: NeighborhoodStructure) 
     Differs from :func:`csm_loss_exact` by a model-independent constant,
     so gradients and minimizers coincide.
     """
-    src, pos, dst = _all_edges(structure)
+    src, pos, dst = structure.edges()
     loss, meta = _weighted_j(model, structure, src, pos, p.mass[src], p.mass[dst])
     return _finalize(model, loss, meta)
 
@@ -411,7 +403,7 @@ def dcsm_loss_exact(model, p: TabularDistribution, kernel: NoiseKernel, structur
     q = np.ones((n, n))
     for d in range(space.ndim):
         q *= kernel.row(d)[np.ix_(states[:, d], states[:, d])]
-    src, pos, dst = _all_edges(structure)
+    src, pos, dst = structure.edges()
     entries = _entries_t(model, structure, src, pos)
     e = src.size
     # weight of (clean i, edge k at noisy src[k]) and its target entry

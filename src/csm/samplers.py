@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import NeighborhoodStructure, State, is_weakly_connected
+from .graphs import NeighborhoodStructure, State, csr_rows, is_weakly_connected
 
 
 class NaNRatioError(FloatingPointError):
@@ -91,8 +91,7 @@ def _edge_ratio_table(score_model, structure) -> np.ndarray:
     """Precomputed density ratio for every undirected-view entry."""
     space = structure.space
     indptr, dst, pos, fwd = structure.undirected_view()
-    n = space.total_states
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    src, _ = csr_rows(indptr)
     ratios = np.empty(src.size)
     if fwd.any():
         states = space.states_of(src[fwd])
@@ -132,7 +131,7 @@ def _unit_step_ratios(structure, ratios: np.ndarray, lines) -> np.ndarray:
     """
     indptr, dst, _, _ = structure.undirected_view()
     n = structure.space.total_states
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    src, _ = csr_rows(indptr)
     keys = src * n + dst
     order = np.argsort(keys)
     keys = keys[order]

@@ -32,6 +32,10 @@ class TestConfig:
             build_config({"noise_w": "1.5"}, {})
         with pytest.raises(ValueError):
             build_config({"lr": "-1"}, {})
+        for key, value in [("structure", "hypercube:3"), ("boundary", "reflect"), ("model", "mlp")]:
+            with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
+                build_config({key: value}, {})
+        assert build_config({"structure": "explicit:edges.txt", "model": "masked_ar"}, {})
 
     def test_malformed_file_line(self, tmp_path):
         path = tmp_path / "run.cfg"

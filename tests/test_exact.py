@@ -126,6 +126,21 @@ class TestReconstruction:
         assert max_cycle_residual(consistent, comp) < 1e-10
         noisy = lambda s: concrete_score_exact(p, comp, s) + 0.05 * rng.standard_normal(5)
         assert max_cycle_residual(noisy, comp) > 1e-3
+        # a one-pass iterable support is read once
+        support = ((i,) for i in range(4))
+        assert max_cycle_residual(consistent, comp, support=support) < 1e-10
+
+    def test_score_length_must_match_degree(self):
+        grid = build_structure("grid", DiscreteSpace((3, 3)))
+        for length in (1, 5):
+            for op in (reconstruct_density, max_cycle_residual):
+                with pytest.raises(ValueError, match=r"state \(0, 0\), which has 2 neighbors"):
+                    op(lambda s: np.zeros(length), grid)
+        # the star's tree edges never read the hub's scores; the residual does
+        star = build_structure("star", DiscreteSpace((4,)))
+        reconstruct_density(lambda s: np.zeros(1), star)
+        with pytest.raises(ValueError, match=r"state \(0,\), which has 0 neighbors"):
+            max_cycle_residual(lambda s: np.zeros(1), star)
 
 
 class TestScaledScoreLimit:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csm.graphs import (
+    BOUNDARIES,
     DiscreteSpace,
     EnumerationCapExceeded,
     build_reverse_index,
@@ -11,6 +12,84 @@ from csm.graphs import (
     is_weakly_connected,
     load_explicit_edges,
 )
+
+
+def reference_neighbors(structure, x):
+    """Per-state reference of each kind's neighbor rule, as flat indices."""
+    space = structure.space
+    if structure.kind == "grid":
+        out = []
+        for d, n in enumerate(space.dims):
+            v = x[d]
+            if n == 2:
+                out.append(space.index_of(x[:d] + (1 - v,) + x[d + 1 :]))
+                continue
+            if structure.boundary == "wrap" or v + 1 < n:
+                out.append(space.index_of(x[:d] + ((v + 1) % n,) + x[d + 1 :]))
+            if structure.boundary == "wrap" or v > 0:
+                out.append(space.index_of(x[:d] + ((v - 1) % n,) + x[d + 1 :]))
+        return out
+    i, n = space.index_of(x), space.total_states
+    if structure.kind == "chain":
+        return [] if i == n - 1 else [i + 1]
+    if structure.kind == "cycle":
+        return [(i + 1) % n]
+    if structure.kind == "star":
+        return [] if i == 0 else [0]
+    assert structure.kind == "complete"
+    return [j for j in range(n) if j != i]
+
+
+def reference_undirected(rows):
+    """Per-state reference undirected view: each state's forward entries in
+    neighbor order, then the reverse entries of one-way edges by source."""
+    view = [[(v, p, True) for p, v in enumerate(nbrs)] for nbrs in rows]
+    for u, nbrs in enumerate(rows):
+        for p, v in enumerate(nbrs):
+            if u not in rows[v]:
+                view[v].append((u, p, False))
+    return view
+
+
+def reference_connected(n, members, rows):
+    """Union-find over the edges of ``rows`` between ``members``."""
+    parent = {i: i for i in members}
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for u in members:
+        for v in rows[u]:
+            if v in parent:
+                parent[find(u)] = find(v)
+    return len({find(i) for i in members}) == 1
+
+
+def random_explicit(n, rng, density):
+    """Random explicit structure over n states and its neighbor lists; some
+    states are left unlisted and some are listed with no neighbors."""
+    rows = [[] for _ in range(n)]
+    edges = {}
+    for u in range(n):
+        if rng.random() < 0.2:
+            continue
+        rows[u] = [v for v in rng.permutation(n).tolist() if v != u and rng.random() < density]
+        edges[(u,)] = [(v,) for v in rows[u]]
+    return build_structure("explicit", DiscreteSpace((n,)), explicit_edges=edges), rows
+
+
+def csr_lists(structure):
+    """The adjacency and the undirected view, as per-state Python lists."""
+    indptr, indices = structure.adjacency()
+    rows = [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(indptr.size - 1)]
+    u_indptr, dst, pos, fwd = structure.undirected_view()
+    view = [
+        list(zip(dst[lo:hi].tolist(), pos[lo:hi].tolist(), fwd[lo:hi].tolist()))
+        for lo, hi in zip(u_indptr[:-1], u_indptr[1:])
+    ]
+    return rows, view
 
 
 class TestDiscreteSpace:
@@ -127,17 +206,98 @@ class TestBatchedQueries:
             assert grid.neighbors(tuple(batch[r]))[p] == tuple(d)
 
 
+class TestAgainstReference:
+    """The CSR arrays against the per-state reference rules."""
+
+    @pytest.mark.parametrize("boundary", BOUNDARIES)
+    @pytest.mark.parametrize("kind,dims", [
+        ("chain", (9,)), ("chain", (3, 4)), ("cycle", (9,)), ("cycle", (2, 3)),
+        ("star", (9,)), ("complete", (6,)), ("complete", (2, 3)),
+        ("grid", (4, 5)), ("grid", (2, 3, 2)), ("grid", (3, 2, 4)), ("grid", (2, 2, 2, 2)),
+        ("grid", (5,)),
+    ])
+    def test_standard_kinds(self, kind, dims, boundary):
+        structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        space = structure.space
+        want = [reference_neighbors(structure, space.state_of(i)) for i in range(space.total_states)]
+        rows, view = csr_lists(structure)
+        assert rows == want
+        assert view == reference_undirected(want)
+        for i, nbrs in enumerate(want):
+            assert structure.neighbors(space.state_of(i)) == [space.state_of(j) for j in nbrs]
+            assert structure.degree(space.state_of(i)) == len(nbrs)
+
+    def test_random_explicit_graphs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            structure, want = random_explicit(int(rng.integers(2, 12)), rng, rng.choice([0.1, 0.4]))
+            rows, view = csr_lists(structure)
+            assert rows == want
+            assert view == reference_undirected(want)
+
+    def test_connectivity_matches_union_find(self):
+        rng = np.random.default_rng(1)
+        answers = set()
+        for _ in range(80):
+            n = int(rng.integers(2, 14))
+            structure, rows = random_explicit(n, rng, rng.choice([0.05, 0.15, 0.4]))
+            want = reference_connected(n, range(n), rows)
+            assert is_weakly_connected(structure) is want
+            support = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            want_sub = reference_connected(n, support, rows)
+            assert is_weakly_connected(structure, support=[(i,) for i in support]) is want_sub
+            answers |= {want, want_sub}
+        assert answers == {True, False}
+
+    def test_long_shuffled_path(self):
+        n = 3000
+        order = np.random.default_rng(2).permutation(n).tolist()
+        edges = {(u,): [(v,)] for u, v in zip(order[:-1], order[1:])}
+        space = DiscreteSpace((n,))
+        assert is_weakly_connected(build_structure("explicit", space, explicit_edges=edges))
+        del edges[(order[n // 2],)]
+        assert not is_weakly_connected(build_structure("explicit", space, explicit_edges=edges))
+
+    def test_forty_dimensional_grid(self):
+        # 2^38 * 16 states: every query here must run without enumeration
+        dims = (2,) * 38 + (4, 4)
+        grid = build_structure("grid", DiscreteSpace(dims))
+        assert not grid.space.enumerable
+        for x in [(0,) * 40, (1,) * 38 + (3, 1)]:
+            want = [grid.space.state_of(j) for j in reference_neighbors(grid, x)]
+            assert grid.neighbors(x) == want
+            assert grid.degree(x) == len(want)
+        path = [(0,) * 40]
+        for d in range(40):
+            path.append(path[-1][:d] + (1,) + path[-1][d + 1 :])
+        assert is_weakly_connected(grid, support=path)
+        assert not is_weakly_connected(grid, support=path[:10] + path[11:])
+
+    def test_negative_positions_rejected(self):
+        small = build_structure("grid", DiscreteSpace((4, 4)))
+        big = build_structure("grid", DiscreteSpace((2,) * 30))
+        for grid, x in [(small, [1, 1]), (big, [0] * 30)]:
+            with pytest.raises(ValueError, match="out of range"):
+                grid.neighbor_states_at(np.asarray([x]), np.asarray([-1]))
+
+
 class TestReverseIndex:
+    @staticmethod
+    def pairs(rev, i):
+        lo, hi = rev.indptr[i], rev.indptr[i + 1]
+        return list(zip(rev.src[lo:hi].tolist(), rev.pos[lo:hi].tolist()))
+
     def test_star_reverse_entries(self):
         star = build_structure("star", DiscreteSpace((6,)))
         rev = build_reverse_index(star)
-        assert rev.entries((0,)) == [((i,), 0) for i in range(1, 6)]
-        for i in range(1, 6):
-            assert rev.entries((i,)) == []
+        assert self.pairs(rev, 0) == [(i, 0) for i in range(1, 6)]
+        np.testing.assert_array_equal(
+            rev.counts_of(star.space.all_states()), [5, 0, 0, 0, 0, 0]
+        )
 
     def test_cycle_reverse_entries(self):
         rev = build_reverse_index(build_structure("cycle", DiscreteSpace((4,))))
-        assert rev.entries((0,)) == [((3,), 0)]
+        assert self.pairs(rev, 0) == [(3, 0)]
 
     def test_edge_count_conservation(self):
         grid = build_structure("grid", DiscreteSpace((5, 4)))
@@ -152,15 +312,18 @@ class TestReverseIndex:
     def test_soundness_exhaustive(self, kind, dims):
         """(x, i) in rev[x'] if and only if neighbors(x)[i] == x'."""
         structure = build_structure(kind, DiscreteSpace(dims))
+        space = structure.space
         rev = build_reverse_index(structure)
         forward = {}
-        for idx in range(structure.space.total_states):
-            x = structure.space.state_of(idx)
-            for i, nb in enumerate(structure.neighbors(x)):
-                forward.setdefault(nb, []).append((x, i))
-        for idx in range(structure.space.total_states):
-            x = structure.space.state_of(idx)
-            assert sorted(rev.entries(x)) == sorted(forward.get(x, []))
+        for idx in range(space.total_states):
+            for i, nb in enumerate(structure.neighbors(space.state_of(idx))):
+                forward.setdefault(space.index_of(nb), []).append((idx, i))
+        for idx in range(space.total_states):
+            assert sorted(self.pairs(rev, idx)) == sorted(forward.get(idx, []))
+        np.testing.assert_array_equal(
+            rev.counts_of(space.all_states()),
+            [len(forward.get(i, [])) for i in range(space.total_states)],
+        )
 
 
 class TestConnectivity:
@@ -184,10 +347,10 @@ class TestConnectivity:
         ]:
             assert is_weakly_connected(structure) is want
 
-            def walk(x):
+            def walk():
                 raise AssertionError("second call walked the graph")
 
-            monkeypatch.setattr(structure, "_neighbor_indices", walk)
+            monkeypatch.setattr(structure, "edges", walk)
             assert is_weakly_connected(structure) is want
 
     def test_restricted_support(self):
