@@ -288,20 +288,6 @@ class MaskedARModel(DensityModel):
         return {"n_dims": self.n_dims, "hidden": list(self.hidden)}
 
 
-def implied_concrete_score(
-    model: DensityModel, structure: NeighborhoodStructure, x: Sequence[int]
-) -> np.ndarray:
-    """Score vector a density model implies at x via neighbor log-mass ratios."""
-    return model.score_vector(structure, x)
-
-
-def log_mass(model, x: Sequence[int]) -> float:
-    """Exact normalized log-probability of a state under a density model."""
-    if not hasattr(model, "log_mass"):
-        raise ValueError(f"model kind {getattr(model, 'kind', '?')!r} has no log-mass")
-    return model.log_mass(x)
-
-
 def fit(
     model,
     objective: Callable[[object, np.ndarray, np.random.Generator], object],

@@ -1,20 +1,26 @@
 """Sampling from learned scores.
 
-Metropolis-Hastings walks the undirected view of the neighborhood graph,
-where each entry's density ratio comes from the score entry of whichever
-directed edge exists (inverted when the edge points backwards).
+Metropolis-Hastings walks the undirected view of the neighborhood graph.
+:func:`run_chain` takes its density ratios from one of two sources:
 
-On chain, cycle and grid structures :func:`run_chain` proposes
-straight-line paths: it picks a line (a grid dimension and a sign, or a
-sign in flat order for chains and cycles), draws a length log-uniformly
-on 1..n-1 for a line of n cells, and proposes the state that many cells
-along it. Paths that run off a drop boundary or a chain end are
-rejected; otherwise the acceptance is min(1, product of the edge ratios
-along the path). The proposal is symmetric, so no degree correction
-enters. Other structures, and :func:`mh_step`, propose one neighbor
-uniformly among states adjacent in either direction and include the
-proposal-degree correction, which reduces to the plain min(1, ratio)
-rule on symmetric structures. A NaN ratio raises :class:`NaNRatioError`.
+- a density model (one with ``log_mass_unnorm``) is evaluated once over
+  the whole space; the edge ratios along any path telescope, so every
+  ratio is q(there) / q(here) = exp(log q(there) - log q(here));
+- any other model fills a table with one ratio per undirected-view
+  entry, from the score entry of whichever directed edge exists
+  (inverted when the edge points backwards). Ratios below zero (entries
+  under -1) are clamped to zero and counted; a path multiplies the
+  ratios of its unit steps, and a zero blocks it even next to an inf.
+
+On chain, cycle and grid structures the chain proposes straight-line
+paths: it picks a line (a grid dimension and a sign, or a sign in flat
+order for chains and cycles), draws a length log-uniformly on 1..n-1 for
+a line of n cells, and proposes the state that many cells along it.
+Paths that run off a drop boundary or a chain end are rejected; otherwise
+the acceptance is min(1, ratio), with no degree correction since the
+proposal is symmetric. Other structures propose one neighbor uniformly
+among states adjacent in either direction and include the proposal-degree
+correction. A NaN ratio anywhere raises :class:`NaNRatioError`.
 
 An annealed wrapper chains final states across a model sequence, and a
 Langevin integrator serves the continuous denoising pipeline.
@@ -37,8 +43,9 @@ class NaNRatioError(FloatingPointError):
 
 @dataclass
 class ChainState:
+    """What :func:`run_chain` reports about its chain."""
+
     current: State
-    rng: np.random.Generator
     step: int = 0
     accepted: int = 0
     proposed: int = 0
@@ -49,46 +56,28 @@ class ChainState:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-def _accept_prob(ratio: float, deg_here: int, deg_there: int) -> float:
-    return min(1.0, ratio * deg_here / deg_there)
+def _check_nan(structure, values: np.ndarray):
+    """Raise :class:`NaNRatioError` at the first NaN of an undirected-view array."""
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        indptr, dst, _, _ = structure.undirected_view()
+        u = int(np.searchsorted(indptr, nan[0], side="right")) - 1
+        there = structure.space.state_of(int(dst[nan[0]]))
+        raise NaNRatioError(f"NaN density ratio on edge {structure.space.state_of(u)} -> {there}")
 
 
-def mh_step(chain: ChainState, score_model, structure: NeighborhoodStructure) -> ChainState:
-    """One proposal/accept update of the chain, in place.
-
-    Ratios below zero (score entries under -1) are clamped to zero and
-    counted in ``chain.clamped``.
-    """
-    space = structure.space
-    indptr, dst, pos, fwd = structure.undirected_view()
-    here = space.index_of(chain.current)
-    lo, hi = int(indptr[here]), int(indptr[here + 1])
-    if hi == lo:
-        raise ValueError(f"state {chain.current} has no neighbors to propose")
-    k = lo + int(chain.rng.integers(0, hi - lo))
-    there = int(dst[k])
-    if fwd[k]:
-        ratio = float(score_model.score_vector(structure, chain.current)[pos[k]]) + 1.0
-    else:
-        back = float(score_model.score_vector(structure, space.state_of(there))[pos[k]]) + 1.0
-        ratio = np.inf if back == 0 else 1.0 / back
-    if math.isnan(ratio):
-        raise NaNRatioError(f"NaN density ratio on edge {chain.current} -> {space.state_of(there)}")
-    if ratio < 0:
-        ratio = 0.0
-        chain.clamped += 1
-    deg_here = hi - lo
-    deg_there = int(indptr[there + 1] - indptr[there])
-    chain.proposed += 1
-    if chain.rng.random() < _accept_prob(ratio, deg_here, deg_there):
-        chain.current = space.state_of(there)
-        chain.accepted += 1
-    chain.step += 1
-    return chain
+def _log_mass_ratio(score_model, structure):
+    """ratio(here, there) = q(there) / q(here) from one log-mass pass over the space."""
+    lm = score_model.log_mass_unnorm(structure.space.all_states())
+    indptr, dst, _, _ = structure.undirected_view()
+    with np.errstate(invalid="ignore"):
+        _check_nan(structure, lm[dst] - lm[csr_rows(indptr)[0]])
+    lm = lm.tolist()
+    return lambda here, there: math.exp(lm[there] - lm[here])
 
 
 def _edge_ratio_table(score_model, structure) -> np.ndarray:
-    """Precomputed density ratio for every undirected-view entry."""
+    """Density ratio for every undirected-view entry, from the score entries."""
     space = structure.space
     indptr, dst, pos, fwd = structure.undirected_view()
     src, _ = csr_rows(indptr)
@@ -102,6 +91,7 @@ def _edge_ratio_table(score_model, structure) -> np.ndarray:
         back = score_model.score_entries(structure, states, pos[rev]) + 1.0
         with np.errstate(divide="ignore"):
             ratios[rev] = np.where(back == 0, np.inf, 1.0 / back)
+    _check_nan(structure, ratios)
     return ratios
 
 
@@ -146,42 +136,54 @@ def _unit_step_ratios(structure, ratios: np.ndarray, lines) -> np.ndarray:
     return out
 
 
-def _path_proposal(lines, step_ratios: np.ndarray, rng: np.random.Generator):
-    """Straight-line path proposal: here -> (there, acceptance probability)."""
-    log_cells = [math.log(cells) for _, cells, _ in lines]
+def _uniform_rows(rng: np.random.Generator, steps: int):
+    """The rows of rng.random((steps, 4)), drawn 16,384 at a time: the same
+    stream as one random(3) and one random() per step."""
+    for start in range(0, steps, 1 << 14):
+        yield from rng.random((min(1 << 14, steps - start), 4)).tolist()
 
-    def propose(here: int) -> tuple[int, float]:
-        u_line, u_sign, u_len = rng.random(3).tolist()
-        a = int(u_line * len(lines))
+
+def _path_proposal(lines, rows, density_ratio, step_ratios):
+    """Straight-line path proposal: here -> (there, ratio, acceptance uniform).
+    The ratio is ``density_ratio``'s, else the product of the unit-step ratios."""
+    log_cells = [math.log(cells) for _, cells, _ in lines]
+    n_lines = len(lines)
+
+    def propose(here: int) -> tuple[int, float, float]:
+        u_line, u_sign, u_len, u = next(rows)
+        a = int(u_line * n_lines)
         stride, cells, wrap = lines[a]
         sign = 1 if u_sign < 0.5 else -1
         # floor(cells ** u): log-uniform on 1..cells-1 (the min guards rounding)
         length = min(int(math.exp(u_len * log_cells[a])), cells - 1)
         v = (here // stride) % cells
         if not wrap and not 0 <= v + sign * length < cells:
-            return here, 0.0
-        path = here + ((v + sign * np.arange(length + 1)) % cells - v) * stride
-        seg = step_ratios[a, (1 - sign) // 2, path[:-1]]
+            return here, 0.0, u
+        there = here + ((v + sign * length) % cells - v) * stride
+        if density_ratio is not None:
+            return there, density_ratio(here, there), u
+        path = here + ((v + sign * np.arange(length)) % cells - v) * stride
+        seg = step_ratios[a, (1 - sign) // 2, path]
         # a clamped (zero) edge blocks the path even next to an infinite one
-        if seg.min() == 0.0:
-            return here, 0.0
-        return int(path[-1]), min(1.0, float(seg.prod()))
+        return there, float(seg.prod()) if seg.all() else 0.0, u
 
     return propose
 
 
-def _single_step_proposal(structure, ratios: np.ndarray, rng: np.random.Generator):
-    """Uniform undirected-neighbor proposal: here -> (there, acceptance probability)."""
+def _single_step_proposal(structure, rng, density_ratio, ratios):
+    """Uniform undirected-neighbor proposal: here -> (there, degree-corrected
+    ratio, acceptance uniform)."""
     indptr, dst, _, _ = structure.undirected_view()
     degs = np.diff(indptr)
 
-    def propose(here: int) -> tuple[int, float]:
+    def propose(here: int) -> tuple[int, float, float]:
         deg = degs[here]
         if deg == 0:
             raise ValueError(f"state {structure.space.state_of(here)} has no neighbors to propose")
         k = indptr[here] + rng.integers(0, deg)
         there = int(dst[k])
-        return there, _accept_prob(ratios[k], deg, degs[there])
+        ratio = density_ratio(here, there) if density_ratio is not None else ratios[k]
+        return there, ratio * deg / degs[there], rng.random()
 
     return propose
 
@@ -201,15 +203,18 @@ def run_chain(
 
     Chain, cycle and grid structures use straight-line path proposals,
     other kinds the single-step undirected proposal (see the module
-    docstring). A path costs time proportional to its length. Negative
-    ratios (score entries under -1) are clamped to zero and counted in
-    ``clamped``; a NaN ratio anywhere raises :class:`NaNRatioError`.
+    docstring). A density model costs one ``log_mass_unnorm`` pass over
+    the space per call and O(1) per step; any other model costs one
+    ``score_entries`` pass over the undirected view per call, and a path
+    costs time proportional to its length. Negative ratios (score entries
+    under -1) are clamped to zero and counted in ``clamped``; a NaN ratio
+    anywhere raises :class:`NaNRatioError` before the first step.
 
     Keeps every ``thin``-th state after ``burn_in`` steps; ``steps=0``
     returns just the initial state. Refuses to start on a structure whose
     undirected view is disconnected; the check runs once per structure
     and ``check_connected=False`` skips it. The space must be enumerable
-    either way: the ratio table is built over the CSR adjacency, so a
+    either way: the ratios are built over the whole space, so a
     non-enumerable space raises ``EnumerationCapExceeded``.
     """
     space = structure.space
@@ -224,39 +229,34 @@ def run_chain(
         if not is_weakly_connected(structure):
             raise ValueError("structure is not weakly connected; the chain cannot be ergodic")
     rng = rng if rng is not None else np.random.default_rng(seed)
-    chain = ChainState(current=init, rng=rng)
     if steps == 0:
-        return np.asarray([init], dtype=np.int64), chain
+        return np.asarray([init], dtype=np.int64), ChainState(current=init)
 
-    ratios = _edge_ratio_table(score_model, structure)
-    nan = np.flatnonzero(np.isnan(ratios))
-    if nan.size:
-        indptr, dst, _, _ = structure.undirected_view()
-        u = int(np.searchsorted(indptr, nan[0], side="right")) - 1
-        raise NaNRatioError(
-            f"NaN density ratio on edge {space.state_of(u)} -> {space.state_of(int(dst[nan[0]]))}"
-        )
-    if np.any(ratios < 0):
-        chain.clamped += int((ratios < 0).sum())
-        ratios = np.maximum(ratios, 0.0)
     lines = _path_lines(structure)
-    if lines is None:
-        propose = _single_step_proposal(structure, ratios, rng)
+    density_ratio = ratios = step_ratios = None
+    clamped = 0
+    if hasattr(score_model, "log_mass_unnorm"):
+        density_ratio = _log_mass_ratio(score_model, structure)
     else:
-        propose = _path_proposal(lines, _unit_step_ratios(structure, ratios, lines), rng)
+        ratios = _edge_ratio_table(score_model, structure)
+        clamped = int((ratios < 0).sum())
+        ratios = np.maximum(ratios, 0.0)
+        if lines is not None:
+            step_ratios = _unit_step_ratios(structure, ratios, lines)
+    if lines is None:
+        propose = _single_step_proposal(structure, rng, density_ratio, ratios)
+    else:
+        propose = _path_proposal(lines, _uniform_rows(rng, steps), density_ratio, step_ratios)
 
     kept: list[int] = []
-    here = space.index_of(init)
+    here, accepted = space.index_of(init), 0
     for step in range(1, steps + 1):
-        there, prob = propose(here)
-        chain.proposed += 1
-        if rng.random() < prob:
-            here = there
-            chain.accepted += 1
+        there, ratio, u = propose(here)
+        if u < ratio:
+            here, accepted = there, accepted + 1
         if step > burn_in and (step - burn_in) % thin == 0:
             kept.append(here)
-    chain.step = steps
-    chain.current = space.state_of(here)
+    chain = ChainState(space.state_of(here), steps, accepted, steps, clamped)
     return space.states_of(np.asarray(kept, dtype=np.int64)), chain
 
 

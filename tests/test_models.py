@@ -12,9 +12,7 @@ from csm.models import (
     MaskedARModel,
     ScoreNetModel,
     fit,
-    implied_concrete_score,
     load_checkpoint,
-    log_mass,
     save_checkpoint,
 )
 from csm.objectives import jcsm_exact, nll_loss
@@ -24,7 +22,7 @@ class TestLogitTable:
     def test_uniform_log_mass(self):
         model = LogitTableModel(DiscreteSpace((16,)))
         assert model.log_mass((3,)) == pytest.approx(-np.log(16.0))
-        assert log_mass(model, (3,)) == pytest.approx(-2.7726, abs=1e-4)
+        assert model.log_mass((15,)) == pytest.approx(-2.7726, abs=1e-4)
 
     def test_normalization_sums_to_one(self):
         model = LogitTableModel(DiscreteSpace((4, 5)), seed=1, init_scale=1.0)
@@ -35,14 +33,14 @@ class TestLogitTable:
     def test_equal_logits_imply_zero_score(self):
         model = LogitTableModel(DiscreteSpace((6,)))
         cycle = build_structure("cycle", model.space)
-        np.testing.assert_allclose(implied_concrete_score(model, cycle, (2,)), 0.0)
+        np.testing.assert_allclose(model.score_vector(cycle, (2,)), 0.0)
 
     def test_log_ratio_example(self):
         space = DiscreteSpace((2,))
         model = LogitTableModel(space)
         model.params["logits"].data = np.array([0.0, np.log(3.0)])
         comp = build_structure("complete", space)
-        np.testing.assert_allclose(implied_concrete_score(model, comp, (0,)), [2.0])
+        np.testing.assert_allclose(model.score_vector(comp, (0,)), [2.0])
 
     def test_implied_score_matches_exact(self):
         """Implied and tabulated scores agree for the same distribution."""
@@ -55,7 +53,7 @@ class TestLogitTable:
         for idx in range(16):
             x = space.state_of(idx)
             np.testing.assert_allclose(
-                implied_concrete_score(model, grid, x),
+                model.score_vector(grid, x),
                 concrete_score_exact(p, grid, x),
                 atol=1e-12,
             )
@@ -67,9 +65,9 @@ class TestLogitTable:
         model = LogitTableModel(space)
         model.params["logits"].data = rng.standard_normal(9)
         cycle = build_structure("cycle", space)
-        before = [implied_concrete_score(model, cycle, (i,)) for i in range(9)]
+        before = [model.score_vector(cycle, (i,)) for i in range(9)]
         model.params["logits"].data = model.params["logits"].data + 17.3
-        after = [implied_concrete_score(model, cycle, (i,)) for i in range(9)]
+        after = [model.score_vector(cycle, (i,)) for i in range(9)]
         for a, b in zip(before, after):
             np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -1,19 +1,14 @@
 """Metropolis-Hastings, annealed schedules, Langevin dynamics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from csm.exact import TabularDistribution, TabularScoreModel, kl_and_tv
 from csm.graphs import DiscreteSpace, EnumerationCapExceeded, build_structure
-from csm.models import LogitTableModel
-from csm.samplers import (
-    ChainState,
-    NaNRatioError,
-    langevin,
-    mh_step,
-    run_annealed,
-    run_chain,
-)
+from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel
+from csm.samplers import NaNRatioError, langevin, run_annealed, run_chain
 
 
 def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,61 +32,45 @@ def _random_logit_model(space, seed, scale=1.0):
     return model
 
 
-class TestMHStep:
+class TestRunChain:
     def test_uniform_model_always_accepts_on_symmetric(self):
         space = DiscreteSpace((5, 5))
         grid = build_structure("grid", space, boundary="wrap")
         model = LogitTableModel(space)  # all-zero scores
-        chain = ChainState(current=(2, 2), rng=np.random.default_rng(0))
-        for _ in range(200):
-            mh_step(chain, model, grid)
+        _, chain = run_chain(model, grid, (2, 2), 200, seed=0)
         assert chain.accepted == chain.proposed == 200
 
     def test_acceptance_probability_from_score(self):
-        """Entry 1.5 accepts always; entry -0.5 accepts half the time."""
+        """From state 0, entry 1.5 accepts always; entry -0.5 accepts half the time."""
         space = DiscreteSpace((2,))
         comp = build_structure("complete", space)
         for entry, expected in ((1.5, 1.0), (-0.5, 0.5)):
             model = LogitTableModel(space)
             model.params["logits"].data = np.array([0.0, np.log1p(entry)])
-            accepted = 0
-            trials = 40_000
-            rng = np.random.default_rng(1)
-            for _ in range(trials):
-                chain = ChainState(current=(0,), rng=rng)
-                mh_step(chain, model, comp)
-                accepted += chain.accepted
-            assert accepted / trials == pytest.approx(expected, abs=0.01)
+            samples, _ = run_chain(model, comp, (0,), 40_000, seed=1)
+            seq = np.concatenate([[0], samples[:, 0]])
+            at_zero = seq[:-1] == 0
+            rate = (seq[1:][at_zero] == 1).mean()
+            assert rate == pytest.approx(expected, abs=0.01)
 
     def test_cycle_chain_moves_both_ways(self):
-        """The undirected proposal makes directed cycles mix."""
+        """The undirected view makes directed cycles mix."""
         space = DiscreteSpace((8,))
         cycle = build_structure("cycle", space)
-        model = LogitTableModel(space)
-        chain = ChainState(current=(4,), rng=np.random.default_rng(2))
-        visited = set()
-        for _ in range(500):
-            mh_step(chain, model, cycle)
-            visited.add(chain.current)
-        assert len(visited) == 8
+        samples, _ = run_chain(LogitTableModel(space), cycle, (4,), 500, seed=2)
+        assert len(set(samples[:, 0].tolist())) == 8
 
     def test_negative_ratio_clamped_and_counted(self):
         space = DiscreteSpace((2,))
         comp = build_structure("complete", space)
 
         class BadScore:
-            space = None
-
-            def score_vector(self, structure, x):
-                return np.array([-1.5])
-
             def score_entries(self, structure, states, positions):
                 return np.full(len(positions), -1.5)
 
-        chain = ChainState(current=(0,), rng=np.random.default_rng(3))
-        for _ in range(10):
-            mh_step(chain, BadScore(), comp)
-        assert chain.clamped == 10 and chain.accepted == 0
+        _, chain = run_chain(BadScore(), comp, (0,), 10, seed=3)
+        # both undirected-view entries are clamped once, when the table is built
+        assert chain.clamped == 2 and chain.accepted == 0 and chain.proposed == 10
 
     def test_nan_ratio_raises(self):
         """min(1, nan) would accept; a NaN logit must stop the chain instead."""
@@ -99,14 +78,9 @@ class TestMHStep:
         cycle = build_structure("cycle", space)
         model = LogitTableModel(space)
         model.params["logits"].data[3] = np.nan
-        chain = ChainState(current=(3,), rng=np.random.default_rng(4))
-        with pytest.raises(NaNRatioError):
-            mh_step(chain, model, cycle)
         with pytest.raises(NaNRatioError, match="NaN density ratio"):
-            run_chain(model, cycle, (0,), 1000, seed=4)
+            run_chain(model, cycle, (3,), 1000, seed=4)
 
-
-class TestRunChain:
     def test_zero_steps_returns_initial_state(self):
         space = DiscreteSpace((6,))
         model = LogitTableModel(space)
@@ -210,11 +184,129 @@ class TestRunChain:
 
 
     def test_needs_enumerable_space_without_connectivity_check(self):
-        """The ratio table needs the CSR adjacency even when the check is skipped."""
+        """The ratios need the whole space even when the check is skipped."""
         grid = build_structure("grid", DiscreteSpace((10, 10), enumeration_cap=50))
         model = LogitTableModel(DiscreteSpace((10, 10)))
         with pytest.raises(EnumerationCapExceeded):
             run_chain(model, grid, (0, 0), 10, seed=0, check_connected=False)
+
+
+def _reference_chain(score_model, structure, init, steps, burn_in, thin, seed):
+    """Scalar Metropolis-Hastings with a ratio per adjacent ordered pair built
+    from ``score_vector``, paths as the product of their unit-step ratios, and
+    per-step ``random(3)`` then ``random()`` (``integers`` then ``random()``
+    for single-step proposals). Returns (kept flat indices, accepted, clamped)."""
+    space = structure.space
+    n = space.total_states
+    ratio, forward = {}, [[] for _ in range(n)]
+    for u in range(n):
+        x = space.state_of(u)
+        for y, c in zip(structure.neighbors(x), score_model.score_vector(structure, x)):
+            ratio[u, space.index_of(y)] = float(c) + 1.0
+            forward[u].append(space.index_of(y))
+    for (u, v), r in list(ratio.items()):
+        ratio.setdefault((v, u), math.inf if r == 0 else 1.0 / r)
+    und = [forward[u] + sorted(v for (w, v) in ratio if w == u and v not in forward[u])
+           for u in range(n)]
+    clamped = sum(r < 0 for r in ratio.values())
+    ratio = {k: max(r, 0.0) for k, r in ratio.items()}
+    if structure.kind in ("chain", "cycle"):
+        lines = [(1, n, structure.kind == "cycle")]
+    elif structure.kind == "grid":
+        strides = [math.prod(space.dims[d + 1:]) for d in range(space.ndim)]
+        lines = [(s, c, structure.boundary == "wrap" or c == 2) for s, c in zip(strides, space.dims)]
+    else:
+        lines = None
+    rng = np.random.default_rng(seed)
+    here, accepted, kept = space.index_of(init), 0, []
+    for step in range(1, steps + 1):
+        there, prob = here, 0.0
+        if lines is None:
+            there = und[here][int(rng.integers(0, len(und[here])))]
+            prob = min(1.0, ratio[here, there] * len(und[here]) / len(und[there]))
+        else:
+            u_line, u_sign, u_len = rng.random(3).tolist()
+            stride, cells, wrap = lines[int(u_line * len(lines))]
+            sign = 1 if u_sign < 0.5 else -1
+            length = min(int(math.exp(u_len * math.log(cells))), cells - 1)
+            v = (here // stride) % cells
+            if wrap or 0 <= v + sign * length < cells:
+                path = [here + ((v + sign * i) % cells - v) * stride for i in range(length + 1)]
+                seg = [ratio[p, q] for p, q in zip(path, path[1:])]
+                there = path[-1]
+                prob = 0.0 if min(seg) == 0 else min(1.0, math.prod(seg))
+        if rng.random() < prob:
+            here, accepted = there, accepted + 1
+        if step > burn_in and (step - burn_in) % thin == 0:
+            kept.append(here)
+    return np.asarray(kept), accepted, clamped
+
+
+def _differential_cases():
+    for kind, dims, boundary in (
+        ("chain", (3, 5), "drop"),
+        ("cycle", (3, 5), "drop"),
+        ("grid", (6, 5), "drop"),
+        ("grid", (4, 6), "wrap"),
+        ("grid", (2,) * 5, "drop"),
+        ("complete", (6,), "drop"),
+        ("star", (7,), "drop"),
+    ):
+        space = DiscreteSpace(dims)
+        yield (f"logit-{kind}-{boundary}-{len(dims)}d", _random_logit_model(space, 30, scale=2.0),
+               build_structure(kind, space, boundary=boundary))
+    for kind, boundary in (("chain", "drop"), ("cycle", "drop"), ("grid", "drop"),
+                           ("grid", "wrap")):
+        model = MaskedARModel(5, hidden=(16,), seed=31)
+        yield f"masked-ar-{kind}-{boundary}", model, build_structure(
+            kind, model.space, boundary=boundary)
+    space = DiscreteSpace((12,))
+    net = ScoreNetModel(space, degree=1, hidden=(8,), seed=2)
+    net.params["w1"].data *= 4.0  # two entries under -1: four clamped ratios
+    yield "score-net-cycle", net, build_structure("cycle", space)
+
+
+class TestDensityNaNContract:
+    """A density model's log-mass pass is checked whole before the first step,
+    as the score-entry ratio table is."""
+
+    def _raises_before_first_step(self, model, structure, match):
+        rng = np.random.default_rng(40)
+        with pytest.raises(NaNRatioError, match=match):
+            run_chain(model, structure, (0,), 1000, rng=rng)
+        assert rng.random() == np.random.default_rng(40).random()
+
+    def test_adjacent_minus_inf_logits_name_their_edge(self):
+        space = DiscreteSpace((20,))
+        model = LogitTableModel(space)
+        model.params["logits"].data[[10, 11]] = -np.inf
+        self._raises_before_first_step(
+            model, build_structure("cycle", space), r"edge \(10,\) -> \(11,\)")
+
+    def test_nan_logit_at_unvisited_state(self):
+        space = DiscreteSpace((20,))
+        model = LogitTableModel(space)
+        model.params["logits"].data[10] = np.nan
+        self._raises_before_first_step(
+            model, build_structure("chain", space), r"edge \(9,\) -> \(10,\)")
+
+
+class TestDifferential:
+    """run_chain against the scalar reference kernel: same seeds, same output."""
+
+    CASES = list(_differential_cases())
+
+    @pytest.mark.parametrize("name, model, structure", CASES, ids=[c[0] for c in CASES])
+    def test_matches_scalar_reference(self, name, model, structure):
+        init = (0,) * structure.space.ndim
+        for seed in range(5):
+            samples, chain = run_chain(model, structure, init, 2000, burn_in=100, thin=3,
+                                       seed=seed)
+            kept, accepted, clamped = _reference_chain(model, structure, init, 2000, 100, 3,
+                                                       seed)
+            np.testing.assert_array_equal(structure.space.indices_of(samples), kept)
+            assert (chain.accepted, chain.proposed, chain.clamped) == (accepted, 2000, clamped)
+        assert clamped == (4 if name == "score-net-cycle" else 0)
 
 
 class TestAnnealed:
