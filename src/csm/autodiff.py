@@ -6,13 +6,13 @@ sorts the tape and accumulates exact gradients into every reachable
 tensor's ``grad``: the first gradient to reach a tensor is stored as it
 is, later ones are added out of place. Non-Tensor operands are treated
 as constants. The op set is deliberately small: elementwise arithmetic,
-exp/log/tanh-family nonlinearities, matmul, gathers, reductions and
+exp, tanh and softplus nonlinearities, matmul, gathers, reductions and
 log-sum-exp, which is everything the models and objectives here need.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,35 +39,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, leaf={self._vjp is None})"
-
-    # arithmetic sugar; all routed through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return pow_const(self, exponent)
 
     def backward(self):
         """Accumulate d(self)/d(ancestor) into every ancestor's ``grad``."""
@@ -149,18 +120,6 @@ def mul(a, b) -> Tensor:
     return Tensor(ad * bd, (_maybe(a), _maybe(b)), vjp)
 
 
-def div(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / bd, ad.shape),
-            _unbroadcast(-g * ad / (bd * bd), bd.shape),
-        )
-
-    return Tensor(ad / bd, (_maybe(a), _maybe(b)), vjp)
-
-
 def pow_const(a, exponent: float) -> Tensor:
     ad = _data(a)
     e = float(exponent)
@@ -177,24 +136,9 @@ def texp(a) -> Tensor:
     return Tensor(out, (_maybe(a),), lambda g: (g * out,))
 
 
-def tlog(a) -> Tensor:
-    ad = _data(a)
-    return Tensor(np.log(ad), (_maybe(a),), lambda g: (g / ad,))
-
-
 def ttanh(a) -> Tensor:
     out = np.tanh(_data(a))
     return Tensor(out, (_maybe(a),), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a) -> Tensor:
-    ad = _data(a)
-    out = np.empty_like(ad)
-    pos = ad >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-ad[pos]))
-    ez = np.exp(ad[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return Tensor(out, (_maybe(a),), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a) -> Tensor:
@@ -253,12 +197,6 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(ge, ad.shape).copy(),)
 
     return Tensor(ad.sum(axis=axis, keepdims=keepdims), (_maybe(a),), vjp)
-
-
-def tmean(a, axis: int | None = None) -> Tensor:
-    ad = _data(a)
-    n = ad.size if axis is None else ad.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
 
 
 def reshape(a, shape) -> Tensor:

@@ -146,7 +146,7 @@ def _build_objective(cfg: RunConfig, structure, dataset: data.Dataset):
     if cfg.objective == "csm_mc":
         reverse_index = build_reverse_index(structure)
     if cfg.objective == "dcsm":
-        kernel = data.make_noise_kernel(cfg.noise_w, dataset.space)
+        kernel = objectives.NoiseKernel(space=dataset.space, w=cfg.noise_w)
     return objectives.make_objective(
         cfg.objective,
         structure=structure,

@@ -38,7 +38,6 @@ import numpy as np
 
 from .exact import TabularDistribution
 from .graphs import DiscreteSpace
-from .objectives import NoiseKernel
 
 TOY_1D_CATEGORIES = 16
 FIELD_HALF_WIDTH = 2.5  # the 2-D toys live on [-2.5, 2.5]^2
@@ -262,13 +261,3 @@ def load_tabular_csv(path, header: bool = False) -> Dataset:
     space = DiscreteSpace(tuple([2] * samples.shape[1]))
     return Dataset(space, samples, name="csv", seed=0)
 
-
-def save_dataset_csv(path, dataset: Dataset) -> None:
-    from .io import write_samples_csv
-
-    write_samples_csv(path, dataset.samples)
-
-
-def make_noise_kernel(w: float, space: DiscreteSpace) -> NoiseKernel:
-    """Per-dimension stay-w kernel spreading (1-w) over the other categories."""
-    return NoiseKernel(space=space, w=w)

@@ -2,28 +2,34 @@
 
 Integer-valued states perturbed with per-dimension tent noise on (-1, 1)
 keep their density ratios at integer points, so a score learned on the
-clean data determines everything about the perturbed density. Within
-each unit cell the posterior over the 2^D surrounding integer corners is
-closed-form (tent weights times density ratios), the gradient of the
-perturbed log-density follows from per-dimension corner aggregates, and
-a Langevin chain over the continuous perturbed density can be denoised
-exactly by sampling that posterior.
+clean data determines everything about the perturbed density. Inside each
+unit cell the perturbed density is a tent-weighted mix of the cell's 2^D
+corner masses. The corner posterior, the gradient of the perturbed
+log-density (the Stein score, hence the Langevin field) and exact
+denoising by sampling that posterior all read from this one mix.
 
-Corner enumeration is 2^D, capped at D = 12.
+Masses enter only through a ratio function ``ratio(y, x) = p(y) / p(x)``
+over ``(..., D)`` integer state blocks that broadcast against each other;
+:func:`make_ratio_fn` builds one from a table. A state outside the space
+has zero mass, 0/0 gives 0 and a positive mass over zero gives inf.
+Every function takes a point ``(D,)`` or a block of points ``(M, D)`` and
+makes one ratio call per block, against a single reference corner (one
+more for the points whose reference corner has zero mass). A point costs
+O(D 2^D); corner enumeration is capped at D = 12.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import functools
+from typing import Callable
 
 import numpy as np
 
-from .exact import TabularDistribution, reconstruct_density
-from .graphs import NeighborhoodStructure
+from .exact import TabularDistribution
 
 POSTERIOR_DIM_CAP = 12
 
-RatioFn = Callable[[Sequence[int], Sequence[int]], float]
+RatioFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def triangular_pdf(u: np.ndarray) -> float | np.ndarray:
@@ -50,96 +56,59 @@ def perturb(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_ratio_fn(dist: TabularDistribution) -> RatioFn:
-    """Neighboring-corner mass ratio p(y)/p(x) backed by an exact table.
-
-    States outside the space count as zero mass. Conventions: zero
-    numerator (including 0/0) gives 0.0, zero denominator alone gives
-    inf; the posterior machinery re-anchors around these.
-    """
+    """Mass ratio p(y) / p(x) over broadcasting (..., D) state blocks, from a table."""
     space = dist.space
+    dims = np.asarray(space.dims, dtype=np.uint64)
+    strides = space.indices_of(np.eye(space.ndim, dtype=np.int64))
+    padded = np.append(dist.mass, 0.0)  # out-of-space states read the trailing 0
 
-    def mass(state) -> float:
-        if not space.contains(state):
-            return 0.0
-        return float(dist.mass[space.index_of(tuple(int(v) for v in state))])
+    def mass(states) -> np.ndarray:
+        s = np.asarray(states, dtype=np.int64)
+        # negative coordinates wrap to huge unsigned values: one comparison
+        # checks both ends of every range
+        inside = (s.view(np.uint64) < dims).all(axis=-1)
+        return padded[np.where(inside, s @ strides, dist.mass.size)]
 
-    def ratio(y, x) -> float:
+    def ratio(y, x) -> np.ndarray:
         py, px = mass(y), mass(x)
-        if py == 0.0:
-            return 0.0
-        if px == 0.0:
-            return np.inf
-        return py / px
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(py > 0.0, py / px, 0.0)
 
     return ratio
 
 
-def ratio_fn_from_score_model(
-    model, structure: NeighborhoodStructure, support=None
-) -> RatioFn:
-    """Ratio closure from a trained score model.
+def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit cells holding the rows of ``x`` (M, D), corner axis first.
 
-    Path products along the connected graph pin down every mass ratio;
-    this just reconstructs the full distribution once and serves ratios
-    from the table.
+    Returns the corner states (2^D, M, D), their bits (2^D, D), where bit d
+    of corner k is (k >> d) & 1, and the tent factors (2^D, M, D).
     """
-    recon = reconstruct_density(
-        lambda s: model.score_vector(structure, s), structure, support=support
-    )
-    return make_ratio_fn(recon)
-
-
-def _cell_corners(x_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(base corner, fractional offsets, all 2^D corner states)."""
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    ndim = x_tilde.size
+    ndim = x.shape[1]
     if ndim > POSTERIOR_DIM_CAP:
         raise ValueError(f"corner enumeration caps at {POSTERIOR_DIM_CAP} dims, got {ndim}")
-    base = np.floor(x_tilde).astype(np.int64)
-    t = x_tilde - base
-    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)[None, :]) & 1
-    corners = base[None, :] + bits
-    return base, t, corners
+    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)) & 1
+    offset = bits[:, None, :]
+    base = np.floor(x)
+    corners = base.astype(np.int64) + offset
+    tent = (x - base) - (1 - offset)
+    np.abs(tent, out=tent)
+    return corners, bits, tent
 
 
-def _corner_relative_masses(corners: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
-    """Masses of all cell corners relative to a positive anchor corner.
-
-    Probes self-ratios to find an anchor with positive mass, then walks
-    the corner hypercube breadth-first; every positive corner is reached
-    through a positive shortest path because in-range coordinates form a
-    per-dimension product set.
-    """
-    m = corners.shape[0]
-    anchor = next(
-        (i for i in range(m) if ratio_fn(corners[i], corners[i]) == 1.0), None
-    )
-    if anchor is None:
+def _corner_masses(corners: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
+    """Corner masses (2^D, M), relative to one positive-mass corner per point."""
+    rel = np.asarray(ratio_fn(corners, corners[0]), dtype=np.float64)
+    over_zero = np.isinf(rel)
+    if over_zero.any():
+        # the reference corner has zero mass: re-reference to the first
+        # corner that came back inf, which has positive mass
+        cols = np.flatnonzero(over_zero.any(axis=0))
+        ref = corners[over_zero[:, cols].argmax(axis=0), cols]
+        rel = rel.copy()
+        rel[:, cols] = ratio_fn(corners[:, cols], ref)
+    if not rel.any(axis=0).all():
         raise ValueError("all corner masses are zero at this point")
-    rel = np.full(m, -1.0)
-    rel[anchor] = 1.0
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for d in range(corners.shape[1]):
-                other = cur ^ (1 << d)
-                if rel[other] >= 0:
-                    continue
-                r = ratio_fn(corners[other], corners[cur])
-                if rel[cur] == 0.0 and np.isinf(r):
-                    continue  # let a positive-mass predecessor claim it
-                rel[other] = rel[cur] * r
-                nxt.append(other)
-        frontier = nxt
-    rel[rel < 0] = 0.0
     return rel
-
-
-def _tent_weights(t: np.ndarray, ndim: int) -> np.ndarray:
-    """(2^D, D) per-dimension tent factors for every corner."""
-    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)[None, :]) & 1
-    return np.where(bits == 1, t[None, :], 1.0 - t[None, :])
 
 
 def posterior_weights(
@@ -148,17 +117,19 @@ def posterior_weights(
     """Posterior over the clean integer corners of the cell holding x_tilde.
 
     Returns (corners, weights) with weights proportional to mass ratio
-    times the product of tent factors, normalized to sum to one. Exact
-    integer coordinates put all of that dimension's weight on the lower
-    corner.
+    times the product of tent factors, normalized to sum to one: (2^D, D)
+    and (2^D,) for a point, (2^D, M, D) and (2^D, M) for a block of M
+    points. Exact integer coordinates put all of that dimension's weight on
+    the lower corner.
     """
-    _, t, corners = _cell_corners(x_tilde)
-    rel = _corner_relative_masses(corners, ratio_fn)
-    w = rel * _tent_weights(t, corners.shape[1]).prod(axis=1)
-    total = w.sum()
-    if total <= 0:
+    x = np.asarray(x_tilde, dtype=np.float64)
+    corners, _, tent = _cells(x.reshape(-1, x.shape[-1]))
+    w = _corner_masses(corners, ratio_fn) * tent.prod(axis=2)
+    total = w.sum(axis=0)
+    if not np.all(total > 0):
         raise ValueError("posterior has zero total weight at this point")
-    return corners, w / total
+    w /= total
+    return (corners, w) if x.ndim > 1 else (corners[:, 0], w[:, 0])
 
 
 def denoise_sample(
@@ -171,69 +142,33 @@ def denoise_sample(
 
 
 def recover_stein_score(x_tilde: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
-    """Gradient of the perturbed log-density at a continuous point.
+    """Gradient of the perturbed log-density at a point (D,) or block (M, D).
 
     Dimension d mixes the cell's corner masses into lower/upper
     aggregates A and B using the other dimensions' tent factors; the
-    score is (B - A) / (A (1 - t_d) + B t_d). With one dimension this is
-    exactly (r - 1) / (r t + (1 - t)) for the neighbor ratio r.
+    score is (B - A) / (A (1 - t_d) + B t_d). The denominator is the same
+    for every d: the perturbed density relative to the reference corner.
+    With one dimension this is (r - 1) / (r t + (1 - t)) for the neighbor
+    ratio r. The other-dimension products come from prefix and suffix
+    products, not by division, since a tent factor is 0 at an integer
+    coordinate.
     """
-    _, t, corners = _cell_corners(x_tilde)
-    ndim = corners.shape[1]
-    rel = _corner_relative_masses(corners, ratio_fn)
-    tent = _tent_weights(t, ndim)
-    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)[None, :]) & 1
-    out = np.empty(ndim)
-    for d in range(ndim):
-        others = np.delete(tent, d, axis=1).prod(axis=1)
-        a = float((rel * others)[bits[:, d] == 0].sum())
-        b = float((rel * others)[bits[:, d] == 1].sum())
-        denom = a * (1.0 - t[d]) + b * t[d]
-        if denom <= 0:
-            raise ValueError("perturbed density vanishes at this point")
-        out[d] = (b - a) / denom
-    return out
+    x = np.asarray(x_tilde, dtype=np.float64)
+    corners, bits, tent = _cells(x.reshape(-1, x.shape[-1]))
+    rel = _corner_masses(corners, ratio_fn)
+    del corners  # one (2^D, M, D) block fewer alive below
+    others = np.ones_like(tent)  # others[k, m, d] = prod_{e != d} tent[k, m, e]
+    np.cumprod(tent[..., :-1], axis=2, out=others[..., 1:])
+    others[..., :-1] *= np.cumprod(tent[..., :0:-1], axis=2)[..., ::-1]
+    density = (rel * (others[..., 0] * tent[..., 0])).sum(axis=0)
+    if not np.all(density > 0):
+        raise ValueError("perturbed density vanishes at this point")
+    others *= rel[..., None]
+    others *= 2 * bits[:, None, :] - 1  # upper corners count +, lower corners -
+    return (others.sum(axis=0) / density[:, None]).reshape(x.shape)
 
 
 def tabular_stein_field(dist: TabularDistribution) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized perturbed-density score over particle blocks.
-
-    Same math as :func:`recover_stein_score` but reading corner masses
-    straight from the table (out-of-range corners are zero), so a
-    Langevin integrator can evaluate thousands of particles per step.
-    """
-    space = dist.space
-    ndim = space.ndim
-    if ndim > POSTERIOR_DIM_CAP:
-        raise ValueError(f"corner enumeration caps at {POSTERIOR_DIM_CAP} dims")
-    dims = np.asarray(space.dims, dtype=np.int64)
-    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)[None, :]) & 1
-
-    def corner_masses(base: np.ndarray) -> np.ndarray:
-        corners = base[:, None, :] + bits[None, :, :]
-        valid = np.all((corners >= 0) & (corners < dims), axis=2)
-        flat = space.indices_of(np.clip(corners, 0, dims - 1).reshape(-1, ndim))
-        mass = dist.mass[flat].reshape(corners.shape[:2])
-        return np.where(valid, mass, 0.0)
-
-    def score(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        pts = x.reshape(-1, ndim)
-        base = np.floor(pts).astype(np.int64)
-        t = pts - base
-        mass = corner_masses(base)  # (M, 2^D)
-        tent = np.where(bits[None, :, :] == 1, t[:, None, :], 1.0 - t[:, None, :])
-        out = np.empty_like(pts)
-        for d in range(ndim):
-            others = np.delete(tent, d, axis=2).prod(axis=2)
-            lower = bits[:, d] == 0
-            a = (mass[:, lower] * others[:, lower]).sum(axis=1)
-            b = (mass[:, ~lower] * others[:, ~lower]).sum(axis=1)
-            denom = a * (1.0 - t[:, d]) + b * t[:, d]
-            if np.any(denom <= 0):
-                raise ValueError("perturbed density vanishes for some particle")
-            out[:, d] = (b - a) / denom
-        return out[0] if squeeze else out
-
-    return score
+    """:func:`recover_stein_score` bound to ``make_ratio_fn(dist)``: the
+    Langevin field of the tent-perturbed table over particle blocks."""
+    return functools.partial(recover_stein_score, ratio_fn=make_ratio_fn(dist))

@@ -13,7 +13,7 @@ import pytest
 from csm import checks
 from csm import objectives as obj
 from csm.autodiff import gradient_check
-from csm.data import gen_1d_toy, gen_2d_toy, make_noise_kernel
+from csm.data import gen_1d_toy, gen_2d_toy
 from csm.denoise import make_ratio_fn, denoise_sample, perturb, recover_stein_score, tabular_stein_field
 from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv
 from csm.graphs import DiscreteSpace, build_reverse_index, build_structure
@@ -100,7 +100,7 @@ class TestAcceptance:
         ds = gen_1d_toy(100, seed=0)
         space, p = ds.space, ds.ground_truth
         structure = build_structure("cycle", space)
-        kernel = make_noise_kernel(0.9, space)
+        kernel = obj.NoiseKernel(space=space, w=0.9)
         model = LogitTableModel(space, seed=0)
         objective = lambda m, b, r: obj.dcsm_loss_exact(m, p, kernel, structure)
         for lr, iters in ((0.1, 4000), (0.02, 4000), (0.004, 6000), (0.001, 6000)):
@@ -221,7 +221,7 @@ class TestAcceptance:
         cycle = build_structure("cycle", space)
         rev = build_reverse_index(cycle)
         p = TabularDistribution.random_positive(space, rng)
-        kernel = make_noise_kernel(0.85, space)
+        kernel = obj.NoiseKernel(space=space, w=0.85)
         batch = p.sample(48, rng)
         table = LogitTableModel(space)
         table.params["logits"].data = 0.5 * rng.standard_normal(6)

@@ -1,4 +1,4 @@
-"""Dataset generators, CSV ingestion, noise kernels."""
+"""Dataset generators and CSV ingestion."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,11 @@ from csm.data import (
     gen_1d_toy,
     gen_2d_toy,
     load_tabular_csv,
-    make_noise_kernel,
-    save_dataset_csv,
     toy_1d_masses,
 )
 from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace
+from csm.io import write_samples_csv
 
 
 class TestToy1D:
@@ -120,17 +119,6 @@ class TestTabularCsv:
         space = DiscreteSpace((2, 2, 2, 2))
         ds = Dataset(space, rng.integers(0, 2, size=(50, 4)), name="t", seed=0)
         path = tmp_path / "rt.csv"
-        save_dataset_csv(path, ds)
+        write_samples_csv(path, ds.samples)
         back = load_tabular_csv(path)
         np.testing.assert_array_equal(back.samples, ds.samples)
-
-
-class TestNoiseKernelFactory:
-    def test_spread_value(self):
-        kernel = make_noise_kernel(0.9, DiscreteSpace((91, 91)))
-        assert kernel.spread(0) == pytest.approx(0.1 / 90.0)
-
-    def test_rejects_out_of_range(self):
-        for w in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                make_noise_kernel(w, DiscreteSpace((4,)))

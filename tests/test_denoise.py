@@ -8,13 +8,12 @@ from csm.denoise import (
     make_ratio_fn,
     perturb,
     posterior_weights,
-    ratio_fn_from_score_model,
     recover_stein_score,
     sample_triangular,
     tabular_stein_field,
     triangular_pdf,
 )
-from csm.exact import TabularDistribution, TabularScoreModel
+from csm.exact import TabularDistribution, TabularScoreModel, reconstruct_density
 from csm.graphs import DiscreteSpace, build_structure
 
 
@@ -229,7 +228,10 @@ class TestRatioFromScores:
         rng = np.random.default_rng(12)
         p = TabularDistribution.random_positive(DiscreteSpace((10,)), rng)
         cycle = build_structure("cycle", p.space)
-        ratio = ratio_fn_from_score_model(TabularScoreModel(p), cycle)
+        model = TabularScoreModel(p)
+        ratio = make_ratio_fn(
+            reconstruct_density(lambda s: model.score_vector(cycle, s), cycle)
+        )
         for _ in range(30):
             i, j = rng.integers(0, 10, size=2)
             assert ratio((int(i),), (int(j),)) == pytest.approx(
@@ -240,3 +242,264 @@ class TestRatioFromScores:
         p = TabularDistribution.uniform(DiscreteSpace((4,)))
         with pytest.raises(ValueError, match="caps"):
             posterior_weights(np.zeros(13), make_ratio_fn(p))
+
+
+# -- scalar reference: the per-corner walk and per-dimension Stein formula
+# that the block path replaced, kept here for differential testing --------
+
+
+def _scalar_ratio_fn(dist: TabularDistribution):
+    space = dist.space
+
+    def mass(state) -> float:
+        if not space.contains(state):
+            return 0.0
+        return float(dist.mass[space.index_of(tuple(int(v) for v in state))])
+
+    def ratio(y, x) -> float:
+        py, px = mass(y), mass(x)
+        if py == 0.0:
+            return 0.0
+        if px == 0.0:
+            return np.inf
+        return py / px
+
+    return ratio
+
+
+def _ref_cell(x):
+    ndim = x.size
+    base = np.floor(x).astype(np.int64)
+    t = x - base
+    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)[None, :]) & 1
+    tent = np.where(bits == 1, t[None, :], 1.0 - t[None, :])
+    return base[None, :] + bits, bits, t, tent
+
+
+def _ref_relative_masses(corners, ratio_fn):
+    m = corners.shape[0]
+    anchor = next((i for i in range(m) if ratio_fn(corners[i], corners[i]) == 1.0), None)
+    if anchor is None:
+        raise ValueError("all corner masses are zero at this point")
+    rel = np.full(m, -1.0)
+    rel[anchor] = 1.0
+    frontier = [anchor]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for d in range(corners.shape[1]):
+                other = cur ^ (1 << d)
+                if rel[other] >= 0:
+                    continue
+                r = ratio_fn(corners[other], corners[cur])
+                if rel[cur] == 0.0 and np.isinf(r):
+                    continue
+                rel[other] = rel[cur] * r
+                nxt.append(other)
+        frontier = nxt
+    rel[rel < 0] = 0.0
+    return rel
+
+
+def _ref_posterior(x, ratio_fn):
+    corners, _, _, tent = _ref_cell(x)
+    w = _ref_relative_masses(corners, ratio_fn) * tent.prod(axis=1)
+    if w.sum() <= 0:
+        raise ValueError("posterior has zero total weight at this point")
+    return corners, w / w.sum()
+
+
+def _ref_stein(x, ratio_fn):
+    corners, bits, t, tent = _ref_cell(x)
+    rel = _ref_relative_masses(corners, ratio_fn)
+    out = np.empty(x.size)
+    for d in range(x.size):
+        others = np.delete(tent, d, axis=1).prod(axis=1)
+        a = float((rel * others)[bits[:, d] == 0].sum())
+        b = float((rel * others)[bits[:, d] == 1].sum())
+        denom = a * (1.0 - t[d]) + b * t[d]
+        if denom <= 0:
+            raise ValueError("perturbed density vanishes at this point")
+        out[d] = (b - a) / denom
+    return out
+
+
+def _sparse_case(ndim: int, seed: int, points: int = 60):
+    """Random table with ~30% zero-mass states, and points in boundary
+    cells and at exact-integer coordinates."""
+    rng = np.random.default_rng(seed)
+    space = DiscreteSpace((3 if ndim == 5 else 4,) * ndim)
+    mass = rng.random(space.total_states)
+    mass[rng.random(mass.size) < 0.3] = 0.0
+    p = TabularDistribution(space, mass, normalize=True)
+    hi = np.asarray(space.dims) - 1.0
+    pts = rng.uniform(-0.99, hi + 0.99, size=(points, ndim))
+    snap = rng.random(pts.shape) < 0.25
+    pts[snap] = np.clip(np.round(pts[snap]), 0, np.broadcast_to(hi, pts.shape)[snap])
+    return p, pts
+
+
+def _table_masses(p: TabularDistribution, corners: np.ndarray) -> np.ndarray:
+    inside = np.all((corners >= 0) & (corners < np.asarray(p.space.dims)), axis=-1)
+    flat = p.space.indices_of(np.clip(corners, 0, np.asarray(p.space.dims) - 1))
+    return np.where(inside, p.mass[flat], 0.0)
+
+
+def _split_points(p, pts):
+    """Points the walk handles, and the rest.
+
+    The walk misses a positive corner that it can reach only through
+    zero-mass corners (say, masses on the diagonal of a D = 2 cell) and
+    gives it weight 0; the block path reads every corner directly.
+    """
+    scalar = _scalar_ratio_fn(p)
+    good, missed = [], []
+    for x in pts:
+        corners, _, _, tent = _ref_cell(x)
+        mass = _table_masses(p, corners)
+        if not np.any(mass * tent.prod(axis=1) > 0):
+            continue  # both paths raise here; TestEdgeContracts covers it
+        walked = _ref_relative_masses(corners, scalar)
+        (good if np.array_equal(walked > 0, mass > 0) else missed).append(x)
+    return np.array(good), np.array(missed)
+
+
+class TestDifferential:
+    """The block path against the scalar reference above."""
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    def test_posterior_and_stein_match_reference(self, ndim):
+        p, pts = _sparse_case(ndim, seed=100 + ndim)
+        good, _ = _split_points(p, pts)
+        assert len(good) >= 20
+        block, scalar = make_ratio_fn(p), _scalar_ratio_fn(p)
+        for x in good:
+            corners, w = posterior_weights(x, block)
+            ref_corners, ref_w = _ref_posterior(x, scalar)
+            np.testing.assert_array_equal(corners, ref_corners)
+            np.testing.assert_allclose(w, ref_w, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                recover_stein_score(x, block), _ref_stein(x, scalar), rtol=1e-12, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    def test_posterior_matches_table_everywhere(self, ndim):
+        """Including the cells the walk gets wrong."""
+        p, pts = _sparse_case(ndim, seed=100 + ndim)
+        good, missed = _split_points(p, pts)
+        ratio = make_ratio_fn(p)
+        for x in list(good) + list(missed):
+            corners, w = posterior_weights(x, ratio)
+            want = _table_masses(p, corners) * triangular_pdf(x - corners)
+            np.testing.assert_allclose(w, want / want.sum(), rtol=1e-12, atol=1e-12)
+
+    def test_walk_defect_on_diagonal_cell(self):
+        space = DiscreteSpace((2, 2))
+        p = TabularDistribution(space, np.array([0.5, 0.0, 0.0, 0.5]))
+        x = np.array([0.5, 0.5])
+        _, ref_w = _ref_posterior(x, _scalar_ratio_fn(p))
+        _, w = posterior_weights(x, make_ratio_fn(p))
+        np.testing.assert_allclose(ref_w, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(w, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    def test_denoise_sample_picks_same_corners(self, ndim):
+        p, pts = _sparse_case(ndim, seed=200 + ndim)
+        good, _ = _split_points(p, pts)
+        block, scalar = make_ratio_fn(p), _scalar_ratio_fn(p)
+        for seed in range(5):
+            rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for x in good:
+                corners, w = _ref_posterior(x, scalar)
+                want = tuple(int(v) for v in corners[rng_ref.choice(corners.shape[0], p=w)])
+                assert denoise_sample(x, block, rng_new) == want
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    def test_block_call_equals_point_calls(self, ndim):
+        p, pts = _sparse_case(ndim, seed=300 + ndim)
+        good, missed = _split_points(p, pts)
+        block = np.concatenate([good, missed.reshape(-1, ndim)])
+        ratio = make_ratio_fn(p)
+        corners, w = posterior_weights(block, ratio)
+        score = recover_stein_score(block, ratio)
+        assert corners.shape == (2**ndim, len(block), ndim)
+        assert w.shape == (2**ndim, len(block)) and score.shape == block.shape
+        for m, x in enumerate(block):
+            c1, w1 = posterior_weights(x, ratio)
+            np.testing.assert_array_equal(corners[:, m], c1)
+            np.testing.assert_allclose(w[:, m], w1, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(score[m], recover_stein_score(x, ratio), rtol=1e-14, atol=1e-14)
+
+
+class TestEdgeContracts:
+    def test_block_ratio_conventions(self):
+        mass = np.array([0.0, 0.25, 0.75, 0.0])
+        ratio = make_ratio_fn(TabularDistribution(DiscreteSpace((4,)), mass))
+        assert ratio((0,), (3,)) == 0.0  # 0/0
+        assert ratio((1,), (0,)) == np.inf  # x/0
+        assert ratio((-1,), (1,)) == 0.0 and ratio((4,), (2,)) == 0.0  # out of space
+        assert ratio((2,), (-1,)) == np.inf
+        assert ratio((2,), (1,)) == pytest.approx(3.0)
+        ys = np.arange(-1, 5).reshape(6, 1, 1)  # (6, 1, 1) against (2, 1)
+        got = ratio(ys, np.array([[1], [0]]))
+        assert got.shape == (6, 2)
+        np.testing.assert_array_equal(got[:, 0], [0.0, 0.0, 1.0, 3.0, 0.0, 0.0])
+        np.testing.assert_array_equal(got[:, 1], [0.0, 0.0, np.inf, np.inf, 0.0, 0.0])
+
+    def test_block_ratio_multidim_out_of_space(self):
+        p = TabularDistribution.uniform(DiscreteSpace((3, 2)))
+        ratio = make_ratio_fn(p)
+        got = ratio(np.array([[0, 0], [2, 1], [3, 0], [0, 2], [-1, 1]]), np.array([1, 1]))
+        np.testing.assert_array_equal(got, [1.0, 1.0, 0.0, 0.0, 0.0])
+
+    def test_zero_mass_reference_corner(self):
+        """Point mass at 3, x = 2.4: the reference corner 2 has no mass."""
+        mass = np.zeros(8)
+        mass[3] = 1.0
+        p = TabularDistribution(DiscreteSpace((8,)), mass)
+        ratio = make_ratio_fn(p)
+        corners, w = posterior_weights(np.array([2.4]), ratio)
+        np.testing.assert_array_equal(corners[:, 0], [2, 3])
+        np.testing.assert_array_equal(w, [0.0, 1.0])
+        assert denoise_sample(np.array([2.4]), ratio, np.random.default_rng(0)) == (3,)
+        # d/dx log(x - 2) at 2.4
+        assert recover_stein_score(np.array([2.4]), ratio)[0] == pytest.approx(2.5)
+
+    def test_one_ratio_call_per_block(self):
+        """A second call only re-references the points whose reference corner is empty."""
+        mass = np.zeros(8)
+        mass[[3, 4, 5]] = [0.2, 0.3, 0.5]
+        table = make_ratio_fn(TabularDistribution(DiscreteSpace((8,)), mass))
+        calls = []
+
+        def ratio(y, x):
+            calls.append(np.broadcast_shapes(np.shape(y)[:-1], np.shape(x)[:-1]))
+            return table(y, x)
+
+        recover_stein_score(np.array([[3.5], [4.2], [4.9]]), ratio)
+        assert calls == [(2, 3)]
+        calls.clear()
+        _, w = posterior_weights(np.array([[2.4], [3.5], [2.9]]), ratio)
+        assert calls == [(2, 3), (2, 2)]
+        np.testing.assert_array_equal(w[:, [0, 2]], [[0.0, 0.0], [1.0, 1.0]])
+
+    def test_all_zero_cell_named_error(self):
+        mass = np.zeros(8)
+        mass[[1, 6]] = 0.5
+        p = TabularDistribution(DiscreteSpace((8,)), mass)
+        with pytest.raises(ValueError, match="all corner masses are zero"):
+            posterior_weights(np.array([3.5]), make_ratio_fn(p))
+        field = tabular_stein_field(p)
+        field(np.array([[1.2], [5.5]]))
+        with pytest.raises(ValueError, match="all corner masses are zero"):
+            field(np.array([[1.2], [3.5], [5.5]]))
+
+    def test_stein_at_integer_coordinate_2d(self):
+        rng = np.random.default_rng(13)
+        p = TabularDistribution.random_positive(DiscreteSpace((4, 4)), rng)
+        block, scalar = make_ratio_fn(p), _scalar_ratio_fn(p)
+        for x in ([2.0, 1.3], [0.6, 1.0], [2.0, 3.0]):
+            x = np.array(x)
+            np.testing.assert_allclose(
+                recover_stein_score(x, block), _ref_stein(x, scalar), rtol=1e-12, atol=1e-12
+            )

@@ -300,6 +300,15 @@ class TestNoiseKernel:
         with pytest.raises(ValueError):
             obj.NoiseKernel(DiscreteSpace((4,)), w=1.0)
 
+    def test_spread_value(self):
+        kernel = obj.NoiseKernel(space=DiscreteSpace((91, 91)), w=0.9)
+        assert kernel.spread(0) == pytest.approx(0.1 / 90.0)
+
+    def test_rejects_out_of_range(self):
+        for w in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                obj.NoiseKernel(space=DiscreteSpace((4,)), w=w)
+
     def test_sampler_matches_rows(self):
         rng = np.random.default_rng(5)
         kernel = obj.NoiseKernel(DiscreteSpace((5,)), w=0.7)
