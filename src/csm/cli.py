@@ -138,22 +138,14 @@ def _build_model(cfg: RunConfig, space: DiscreteSpace, structure):
 
 
 def _build_objective(cfg: RunConfig, structure, dataset: data.Dataset):
-    empirical = None
-    reverse_index = None
-    kernel = None
-    if cfg.objective == "csm_exact":
-        empirical = TabularDistribution.from_samples(dataset.space, dataset.samples)
-    if cfg.objective == "csm_mc":
-        reverse_index = build_reverse_index(structure)
-    if cfg.objective == "dcsm":
-        kernel = objectives.NoiseKernel(space=dataset.space, w=cfg.noise_w)
-    return objectives.make_objective(
-        cfg.objective,
-        structure=structure,
-        empirical=empirical,
-        kernel=kernel,
-        reverse_index=reverse_index,
-    )
+    build = {
+        "structure": lambda: structure,
+        "empirical": lambda: TabularDistribution.from_samples(dataset.space, dataset.samples),
+        "reverse_index": lambda: build_reverse_index(structure),
+        "kernel": lambda: objectives.NoiseKernel(space=dataset.space, w=cfg.noise_w),
+    }
+    needs, _ = objectives.OBJECTIVES[cfg.objective]
+    return objectives.make_objective(cfg.objective, **{key: build[key]() for key in needs})
 
 
 def _init_state(cfg: RunConfig, space: DiscreteSpace) -> tuple[int, ...]:

@@ -116,11 +116,11 @@ def concrete_score_exact(
 ) -> np.ndarray:
     """Score vector of ``p`` at ``x``: entry i is p(x_ni)/p(x) - 1."""
     x = p.space.validate_state(x)
-    px = p.prob(x)
+    i = p.space.index_of(x)
+    px = p.mass[i]
     if px <= 0:
         raise ValueError(f"distribution has zero mass at {x}")
     indptr, indices = structure.adjacency()
-    i = p.space.index_of(x)
     return p.mass[indices[indptr[i] : indptr[i + 1]]] / px - 1.0
 
 

@@ -21,7 +21,9 @@ On an enumerable space the graph is its CSR adjacency over flat indices
 arithmetic. Neighbors, degrees, the edge list, the undirected view, the
 reverse index and the connectivity check all derive from those arrays.
 A grid beyond the enumeration cap has no CSR arrays; its neighbors come
-from the same per-dimension arithmetic that builds a grid's adjacency.
+from the same per-dimension arithmetic that builds a grid's adjacency, and
+so do the in-edges along one dimension that the reverse-index-free
+estimators read (:meth:`NeighborhoodStructure.in_edges_along`).
 
 Structures are immutable after construction; internal adjacency caches
 are built lazily and are safe to share across read-only workers.
@@ -288,6 +290,44 @@ class NeighborhoodStructure:
         out[np.arange(len(dim)), dim] = (v + step) % n_d
         return out
 
+    def in_edges_along(
+        self, states: np.ndarray, dims: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """In-edges of each ``states[j]`` from states that differ from it along ``dims[j]``.
+
+        Returns (row, src_states, pos), one entry per edge, with
+        ``N(src_states[k])[pos[k]] = states[row[k]]``. Chains and cycles have
+        one line, the flat order, so ``dims`` is ignored and the one entry is
+        the flat predecessor (none for the first chain state). A grid has a
+        bit-flip source on a binary dimension, else x - e_d (its + move) and
+        x + e_d (its - move) where they exist; the entries are grouped in that
+        order, found by slot arithmetic without enumerating the space.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        m = states.shape[0]
+        if self.kind in ("chain", "cycle"):
+            flat = self.space.indices_of(states)
+            row = np.flatnonzero(flat > 0) if self.kind == "chain" else np.arange(m)
+            src = self.space.states_of((flat[row] - 1) % self.space.total_states)
+            return row, src, np.zeros(row.size, dtype=np.int64)
+        if self.kind != "grid":
+            raise ValueError(f"in-edges along a dimension need a chain, cycle or grid, not {self.kind!r}")
+        sizes = np.asarray(self.space.dims, dtype=np.int64)
+        dims = np.asarray(dims, dtype=np.int64)
+        v, n, wrap = states[np.arange(m), dims], sizes[dims], self.boundary == "wrap"
+        # a source differs from x only along dims, so its slot block for that
+        # dimension starts where x's does
+        first = (self.grid_dim_degrees(states) * (np.arange(sizes.size) < dims[:, None])).sum(axis=1)
+        multi = n > 2
+        exists = np.stack([~multi, multi & (wrap | (v > 0)), multi & (wrap | (v + 1 < n))])
+        value = np.stack([1 - v, (v - 1) % n, (v + 1) % n])
+        # the - move of x + e_d follows its + move when that exists
+        slot = np.stack([np.zeros_like(v), np.zeros_like(v), wrap | (v + 2 < n)])
+        block, row = np.nonzero(exists)
+        src = states[row]
+        src[np.arange(row.size), dims[row]] = value[block, row]
+        return row, src, first[row] + slot[block, row]
+
     def all_neighbors_of(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened neighborhoods of a batch.
 
@@ -373,11 +413,15 @@ def _indptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
 
 
-def csr_rows(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, offset) of every entry of a CSR array: the row that owns it and
-    its position within that row."""
-    row = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
-    return row, np.arange(indptr[-1], dtype=np.int64) - indptr[row]
+def csr_rows(indptr: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(row, offset) of every entry in the given rows of a CSR array (all rows
+    by default): the row that owns it and its position within that row. Its
+    index into the CSR data arrays is ``indptr[row] + offset``."""
+    if rows is None:
+        rows = np.arange(indptr.size - 1, dtype=np.int64)
+    counts = indptr[rows + 1] - indptr[rows]
+    row = np.repeat(rows, counts)
+    return row, np.arange(row.size, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def build_structure(

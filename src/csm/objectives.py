@@ -9,11 +9,22 @@ the denoising variant built on a per-dimension categorical noise
 kernel, the corrected and original ratio-matching and marginalization
 baselines, and plain negative log-likelihood.
 
+Every Concrete-score-matching objective other than the l2 loss is an
+edge selection plus one kernel. The selection is numpy only: the edges
+(src, pos) and per-edge weights alpha on J1 and beta on J2. The kernel,
+:func:`_weighted_j`, evaluates sum alpha (c^2 + 2c) - 2 beta c with one
+score-entry call and is the only tape expression of J1 and J2; the J2
+estimators return its negation, +J2. Those objectives report ``edges``
+(selected edges), ``j1`` and ``j2`` in ``meta``, with ``batch`` and the
+counts of batch states with nothing to select, which contribute zero:
+``j1_skipped_empty`` (no out-edges), ``j2_skipped_empty`` (no in-edges)
+and, for the structured J2, ``j2_edges``.
+
 Every public objective returns an :class:`ObjectiveValue` carrying the
 scalar, the parameter gradients from the tape, and bookkeeping counts.
 Estimators report batch means so learning rates transfer across batch
-sizes; states with nothing to sample (no neighbors, or an empty reverse
-set) contribute zero and are counted in ``meta``.
+sizes. :data:`OBJECTIVES` lists the CLI's objective names with the
+context each needs.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .exact import TabularDistribution
-from .graphs import DiscreteSpace, NeighborhoodStructure, ReverseIndex
+from .graphs import DiscreteSpace, NeighborhoodStructure, ReverseIndex, csr_rows
 
 # dcsm_loss_exact enumerates (clean, noisy) pairs; quadratic blowup guard
 EXACT_PAIR_CAP = 4096
@@ -117,22 +128,17 @@ def _finalize(model, loss: Tensor, meta: dict) -> ObjectiveValue:
     return ObjectiveValue(value=float(loss.data), grads=grads, meta=meta)
 
 
-def _csr_rows(indptr: np.ndarray, rows: np.ndarray):
-    """(row, entry, counts): the row of every CSR entry of ``rows`` and its
-    index into the CSR data arrays, and each row's entry count."""
-    counts = indptr[rows + 1] - indptr[rows]
-    shift = np.repeat(indptr[rows] - np.cumsum(counts) + counts, counts)
-    return np.repeat(rows, counts), np.arange(shift.size) + shift, counts
-
-
-def _weighted_j(model, structure, src, pos, alpha, beta) -> tuple[Tensor, dict]:
-    """J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the edges (src, pos), where
-    alpha and beta are the masses at each edge's source and destination: of a
-    distribution over every edge, or of a batch histogram over the edges it touches."""
+def _weighted_j(model, structure, selections, meta: dict, sign: float = 1.0) -> ObjectiveValue:
+    """``sign`` times J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the
+    concatenated edge selections (src, pos, alpha, beta), where alpha and beta
+    weigh each edge's J1 and J2 terms: one score-entry evaluation, and the
+    only tape expression of J1 and J2."""
+    src, pos, alpha, beta = map(np.concatenate, zip(*selections))
     c = _entries_t(model, structure, src, pos)
     loss = ad.tsum(ad.mul(ad.add(ad.mul(c, alpha), 2.0 * (alpha - beta)), c))
     j2 = 2.0 * float((beta * c.data).sum())
-    return loss, {"edges": int(src.size), "j1": float(loss.data) + j2, "j2": j2}
+    meta = {**meta, "edges": len(src), "j1": float(loss.data) + j2, "j2": j2}
+    return _finalize(model, loss if sign == 1.0 else ad.mul(loss, sign), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +171,7 @@ def jcsm_exact(model, p: TabularDistribution, structure: NeighborhoodStructure) 
     so gradients and minimizers coincide.
     """
     src, pos, dst = structure.edges()
-    loss, meta = _weighted_j(model, structure, src, pos, p.mass[src], p.mass[dst])
-    return _finalize(model, loss, meta)
+    return _weighted_j(model, structure, [(src, pos, p.mass[src], p.mass[dst])], {})
 
 
 # ---------------------------------------------------------------------------
@@ -180,109 +185,34 @@ def _slots(counts: np.ndarray, rng):
     return rows, rng.integers(0, counts[rows]), counts[rows].astype(np.float64)
 
 
-def _j1_term(model, batch: np.ndarray, structure, rng) -> tuple[Tensor, dict]:
-    b = batch.shape[0]
+def _j1_edges(batch: np.ndarray, structure, rng):
+    """One uniformly drawn out-edge per batch state, weighted by its degree."""
     degs = structure.degrees_of(batch)
-    meta = {"batch": b, "j1_skipped_empty": int((degs == 0).sum())}
-    if not degs.any():
-        return Tensor(0.0), meta
     rows, pos, weight = _slots(degs, rng)
-    entries = _entries_t(model, structure, batch[rows], pos)
-    per = ad.mul(ad.add(ad.square(entries), ad.mul(entries, 2.0)), weight)
-    return ad.mul(ad.tsum(per), 1.0 / b), meta
+    alpha = weight / batch.shape[0]
+    return (batch[rows], pos, alpha, np.zeros(rows.size)), {"j1_skipped_empty": int((degs == 0).sum())}
 
 
-def _j2_term(model, batch: np.ndarray, structure, rev: ReverseIndex, rng) -> tuple[Tensor, dict]:
-    b = batch.shape[0]
+def _j2_edges(batch: np.ndarray, structure, rev: ReverseIndex, rng):
+    """One uniformly drawn reverse-index entry per batch state, weighted by
+    the reverse set's size."""
     flat = structure.space.indices_of(batch)
     counts = rev.indptr[flat + 1] - rev.indptr[flat]
-    meta = {"batch": b, "j2_skipped_empty": int((counts == 0).sum())}
-    if not counts.any():
-        return Tensor(0.0), meta
     rows, k, weight = _slots(counts, rng)
     sel = rev.indptr[flat[rows]] + k
-    entries = _entries_t(model, structure, rev.src[sel], rev.pos[sel])
-    per = ad.mul(entries, 2.0 * weight)
-    return ad.mul(ad.tsum(per), 1.0 / b), meta
+    beta = weight / batch.shape[0]
+    return (rev.src[sel], rev.pos[sel], np.zeros(rows.size), beta), {"j2_skipped_empty": int((counts == 0).sum())}
 
 
-def _j2_structured_term(model, batch: np.ndarray, structure, rng) -> tuple[Tensor, dict]:
-    space = structure.space
-    b = batch.shape[0]
-    if structure.kind in ("chain", "cycle"):
-        flat = space.indices_of(batch)
-        n = space.total_states
-        if structure.kind == "cycle":
-            live = np.ones(b, dtype=bool)
-            pred = (flat - 1) % n
-        else:
-            live = flat > 0  # the first chain state has no predecessor
-            pred = np.where(live, flat - 1, 0)
-        meta = {"batch": b, "j2_skipped_empty": int((~live).sum())}
-        if not live.any():
-            return Tensor(0.0), meta
-        entries = _entries_t(model, structure, pred[live], np.zeros(int(live.sum()), dtype=np.int64))
-        return ad.mul(ad.tsum(ad.mul(entries, 2.0)), 1.0 / b), meta
-    if structure.kind != "grid":
-        raise ValueError(
-            f"structured estimator supports chain/cycle/grid, not {structure.kind!r}"
-        )
-    dims = np.asarray(space.dims, dtype=np.int64)
-    ndim = len(dims)
-    d = rng.integers(0, ndim, size=b)
-    wrap = structure.boundary == "wrap"
-    rows_idx = np.arange(b)
-    v = batch[rows_idx, d]
-    n_d = dims[d]
-
-    # incoming edges along the sampled dimension: from x - e_d (its "+"
-    # move), from x + e_d (its "-" move), or from the single bit flip
-    srcs: list[np.ndarray] = []
-    poss: list[np.ndarray] = []
-
-    def block_offset(states, dim_sel):
-        per_dim = structure.grid_dim_degrees(states)
-        cum = np.cumsum(per_dim, axis=1)
-        before = np.where(dim_sel > 0, cum[np.arange(states.shape[0]), dim_sel - 1], 0)
-        return before, per_dim
-
-    flip_mask = n_d == 2
-    if flip_mask.any():
-        y = batch[flip_mask].copy()
-        dd = d[flip_mask]
-        y[np.arange(y.shape[0]), dd] = 1 - y[np.arange(y.shape[0]), dd]
-        before, _ = block_offset(y, dd)
-        srcs.append(y)
-        poss.append(before)
-
-    multi = ~flip_mask
-    # predecessor y = x - e_d, whose "+" move lands on x
-    has_pred = multi & (wrap | (v > 0))
-    if has_pred.any():
-        y = batch[has_pred].copy()
-        dd = d[has_pred]
-        y[np.arange(y.shape[0]), dd] = (y[np.arange(y.shape[0]), dd] - 1) % dims[dd]
-        before, _ = block_offset(y, dd)
-        srcs.append(y)
-        poss.append(before)
-    # successor y = x + e_d, whose "-" move lands on x
-    has_succ = multi & (wrap | (v + 1 < n_d))
-    if has_succ.any():
-        y = batch[has_succ].copy()
-        dd = d[has_succ]
-        y[np.arange(y.shape[0]), dd] = (y[np.arange(y.shape[0]), dd] + 1) % dims[dd]
-        before, per_dim = block_offset(y, dd)
-        plus_exists = wrap | (y[np.arange(y.shape[0]), dd] + 1 < dims[dd])
-        srcs.append(y)
-        poss.append(before + plus_exists.astype(np.int64))
-
-    meta = {"batch": b, "j2_edges": int(sum(s.shape[0] for s in srcs))}
-    if not srcs:
-        return Tensor(0.0), meta
-    src_states = np.concatenate(srcs, axis=0)
-    positions = np.concatenate(poss)
-    entries = _entries_t(model, structure, src_states, positions)
-    return ad.mul(ad.tsum(ad.mul(entries, 2.0 * ndim)), 1.0 / b), meta
+def _j2_structured_edges(batch: np.ndarray, structure, rng):
+    """The in-edges of each batch state along one line, weighted by the number
+    of lines: the flat order on chains and cycles, a uniformly drawn dimension
+    on grids."""
+    b, grid = batch.shape[0], structure.kind == "grid"
+    lines = structure.space.ndim if grid else 1
+    row, src, pos = structure.in_edges_along(batch, rng.integers(0, lines, size=b) if grid else None)
+    meta = {"j2_edges": int(row.size), "j2_skipped_empty": b - int(np.unique(row).size)}
+    return (src, pos, np.zeros(row.size), np.full(row.size, lines / b)), meta
 
 
 def estimate_j1(model, minibatch: np.ndarray, structure, rng) -> ObjectiveValue:
@@ -292,8 +222,8 @@ def estimate_j1(model, minibatch: np.ndarray, structure, rng) -> ObjectiveValue:
     c^2 + 2c by the neighborhood size. Empty neighborhoods contribute 0.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
-    term, meta = _j1_term(model, batch, structure, rng)
-    return _finalize(model, term, meta)
+    edges, meta = _j1_edges(batch, structure, rng)
+    return _weighted_j(model, structure, [edges], {"batch": batch.shape[0], **meta})
 
 
 def estimate_j2(model, minibatch: np.ndarray, structure, reverse_index: ReverseIndex, rng) -> ObjectiveValue:
@@ -303,8 +233,8 @@ def estimate_j2(model, minibatch: np.ndarray, structure, reverse_index: ReverseI
     upweight 2 c(x)_i by its size. Empty reverse sets contribute 0.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
-    term, meta = _j2_term(model, batch, structure, reverse_index, rng)
-    return _finalize(model, term, meta)
+    edges, meta = _j2_edges(batch, structure, reverse_index, rng)
+    return _weighted_j(model, structure, [edges], {"batch": batch.shape[0], **meta}, sign=-1.0)
 
 
 def estimate_j2_structured(model, minibatch: np.ndarray, structure, rng) -> ObjectiveValue:
@@ -316,8 +246,8 @@ def estimate_j2_structured(model, minibatch: np.ndarray, structure, rng) -> Obje
     by the number of dimensions.
     """
     batch = np.asarray(minibatch, dtype=np.int64)
-    term, meta = _j2_structured_term(model, batch, structure, rng)
-    return _finalize(model, term, meta)
+    edges, meta = _j2_structured_edges(batch, structure, rng)
+    return _weighted_j(model, structure, [edges], {"batch": batch.shape[0], **meta}, sign=-1.0)
 
 
 def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveValue:
@@ -337,30 +267,27 @@ def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveVal
     indptr, indices = structure.adjacency()
     w = np.bincount(structure.space.indices_of(batch), minlength=structure.space.total_states)
     live, mass = np.flatnonzero(w), w / b
-    dst, sel, counts = _csr_rows(rev.indptr, live)
-    src, edge, degs = _csr_rows(indptr, live)
+    dst, k = csr_rows(rev.indptr, live)
+    sel = rev.indptr[dst] + k
+    src, pos = csr_rows(indptr, live)
     # out-edges into a batch state are reverse-index entries already
-    keep = np.flatnonzero(w[indices[edge]] == 0)
-    src, edge, r_src = src[keep], edge[keep], rev.src[sel]
-    loss, meta = _weighted_j(
-        model,
-        structure,
-        np.concatenate([r_src, src]),
-        np.concatenate([rev.pos[sel], edge - indptr[src]]),
-        np.concatenate([mass[r_src], mass[src]]),
-        np.concatenate([mass[dst], np.zeros(src.size)]),
-    )
-    meta.update(batch=b, j1_skipped_empty=int(w[live][degs == 0].sum()),
-                j2_skipped_empty=int(w[live][counts == 0].sum()))
-    return _finalize(model, loss, meta)
+    keep = np.flatnonzero(w[indices[indptr[src] + pos]] == 0)
+    src, pos, r_src = src[keep], pos[keep], rev.src[sel]
+    in_edges = (r_src, rev.pos[sel], mass[r_src], mass[dst])
+    out_edges = (src, pos, mass[src], np.zeros(src.size))
+    meta = {"batch": b, "j1_skipped_empty": int(w[live][indptr[live + 1] == indptr[live]].sum()),
+            "j2_skipped_empty": int(w[live][rev.indptr[live + 1] == rev.indptr[live]].sum())}
+    return _weighted_j(model, structure, [in_edges, out_edges], meta)
 
 
 def csm_structured_loss(model, minibatch, structure, rng) -> ObjectiveValue:
-    """J1 - J2 with the structured (reverse-index-free) J2 estimator."""
+    """J1 - J2 with the structured (reverse-index-free) J2 estimator: the
+    :func:`estimate_j1` and :func:`estimate_j2_structured` edges in one
+    score-entry evaluation."""
     batch = np.asarray(minibatch, dtype=np.int64)
-    j1, m1 = _j1_term(model, batch, structure, rng)
-    j2, m2 = _j2_structured_term(model, batch, structure, rng)
-    return _finalize(model, ad.sub(j1, j2), {**m1, **m2})
+    j1, m1 = _j1_edges(batch, structure, rng)
+    j2, m2 = _j2_structured_edges(batch, structure, rng)
+    return _weighted_j(model, structure, [j1, j2], {"batch": batch.shape[0], **m1, **m2})
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +426,23 @@ def nll_loss(model, minibatch: np.ndarray) -> ObjectiveValue:
 # ---------------------------------------------------------------------------
 # name-based dispatch (the CLI's objective strings)
 
-OBJECTIVE_NAMES = (
-    "csm_exact",
-    "csm_mc",
-    "csm_structured",
-    "dcsm",
-    "ratio_fixed",
-    "ratio_original",
-    "marginal_fixed",
-    "marginal_original",
-    "nll",
-)
+# name -> (the context the objective needs, f(context, model, batch, rng))
+OBJECTIVES = {
+    "csm_exact": (("structure", "empirical"),
+                  lambda c, model, batch, rng: csm_loss_exact(model, c["empirical"], c["structure"])),
+    "csm_mc": (("structure", "reverse_index"),
+               lambda c, model, batch, rng: csm_mc_loss(model, batch, c["structure"], c["reverse_index"], rng)),
+    "csm_structured": (("structure",),
+                       lambda c, model, batch, rng: csm_structured_loss(model, batch, c["structure"], rng)),
+    "dcsm": (("structure", "kernel"),
+             lambda c, model, batch, rng: dcsm_loss(model, batch, c["kernel"], c["structure"], rng)),
+    "ratio_fixed": ((), lambda c, model, batch, rng: ratio_matching_loss(model, batch, "fixed")),
+    "ratio_original": ((), lambda c, model, batch, rng: ratio_matching_loss(model, batch, "original")),
+    "marginal_fixed": ((), lambda c, model, batch, rng: marginalization_loss(model, batch, "fixed")),
+    "marginal_original": ((), lambda c, model, batch, rng: marginalization_loss(model, batch, "original")),
+    "nll": ((), lambda c, model, batch, rng: nll_loss(model, batch)),
+}
+OBJECTIVE_NAMES = tuple(OBJECTIVES)
 
 
 def make_objective(
@@ -520,31 +453,12 @@ def make_objective(
     reverse_index: ReverseIndex | None = None,
 ):
     """Bind an objective name to its context; returns f(model, batch, rng)."""
-    if name not in OBJECTIVE_NAMES:
+    if name not in OBJECTIVES:
         raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
-    if name.startswith("csm") or name == "dcsm":
-        if structure is None:
-            raise ValueError(f"objective {name!r} needs a neighborhood structure")
-    if name == "csm_exact":
-        if empirical is None:
-            raise ValueError("csm_exact needs the empirical distribution")
-        return lambda model, batch, rng: csm_loss_exact(model, empirical, structure)
-    if name == "csm_mc":
-        if reverse_index is None:
-            raise ValueError("csm_mc needs a reverse index")
-        return lambda model, batch, rng: csm_mc_loss(model, batch, structure, reverse_index, rng)
-    if name == "csm_structured":
-        return lambda model, batch, rng: csm_structured_loss(model, batch, structure, rng)
-    if name == "dcsm":
-        if kernel is None:
-            raise ValueError("dcsm needs a noise kernel")
-        return lambda model, batch, rng: dcsm_loss(model, batch, kernel, structure, rng)
-    if name == "ratio_fixed":
-        return lambda model, batch, rng: ratio_matching_loss(model, batch, "fixed")
-    if name == "ratio_original":
-        return lambda model, batch, rng: ratio_matching_loss(model, batch, "original")
-    if name == "marginal_fixed":
-        return lambda model, batch, rng: marginalization_loss(model, batch, "fixed")
-    if name == "marginal_original":
-        return lambda model, batch, rng: marginalization_loss(model, batch, "original")
-    return lambda model, batch, rng: nll_loss(model, batch)
+    needs, bind = OBJECTIVES[name]
+    context = {"structure": structure, "empirical": empirical, "kernel": kernel,
+               "reverse_index": reverse_index}
+    missing = [key for key in needs if context[key] is None]
+    if missing:
+        raise ValueError(f"objective {name!r} needs {' and '.join(missing)}")
+    return lambda model, batch, rng: bind(context, model, batch, rng)

@@ -72,6 +72,15 @@ class TestConcreteScore:
             concrete_score_exact(p, comp, (0,))
 
 
+    def test_out_of_range_state_rejected(self):
+        space = DiscreteSpace((3,))
+        p = TabularDistribution.uniform(space)
+        chain = build_structure("chain", space)
+        for bad in [(3,), (-1,), (0, 0)]:
+            with pytest.raises(ValueError, match="invalid"):
+                concrete_score_exact(p, chain, bad)
+
+
 class TestReconstruction:
     def test_round_trip_two_states(self):
         space = DiscreteSpace((2,))

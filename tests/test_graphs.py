@@ -9,6 +9,7 @@ from csm.graphs import (
     EnumerationCapExceeded,
     build_reverse_index,
     build_structure,
+    csr_rows,
     is_weakly_connected,
     load_explicit_edges,
 )
@@ -204,6 +205,67 @@ class TestBatchedQueries:
         assert rows.size == grid.degrees_of(batch).sum()
         for r, p, d in zip(rows[:20], pos[:20], dst[:20]):
             assert grid.neighbors(tuple(batch[r]))[p] == tuple(d)
+
+
+class TestInEdgesAlong:
+    """in_edges_along against the reverse index, on enumerable structures."""
+
+    @pytest.mark.parametrize("kind,dims,boundary", [
+        ("chain", (9,), "drop"), ("cycle", (9,), "drop"),
+        ("chain", (3, 4), "drop"), ("cycle", (2, 3), "drop"),
+        ("grid", (5, 4), "drop"), ("grid", (5, 4), "wrap"),
+        ("grid", (2, 3, 4), "drop"), ("grid", (2, 3, 4), "wrap"),
+        ("grid", (3, 2, 5), "drop"), ("grid", (2, 2, 2), "wrap"),
+        ("grid", (3,), "drop"), ("grid", (3,), "wrap"),
+    ])
+    def test_matches_reverse_index(self, kind, dims, boundary):
+        structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        space = structure.space
+        states = space.all_states()
+        rev = build_reverse_index(structure)
+        for d in range(space.ndim):
+            along = np.full(space.total_states, d)
+            row, src, pos = structure.in_edges_along(states, along)
+            np.testing.assert_array_equal(structure.neighbor_states_at(src, pos), states[row])
+            got = sorted(zip(row.tolist(), space.indices_of(src).tolist(), pos.tolist()))
+            expected = []
+            for x in range(space.total_states):
+                for k in range(rev.indptr[x], rev.indptr[x + 1]):
+                    y = int(rev.src[k])
+                    # chains and cycles have one line, the flat order
+                    if kind != "grid" or states[y][d] != states[x][d]:
+                        expected.append((x, y, int(rev.pos[k])))
+            assert got == sorted(expected)
+
+    def test_grid_beyond_cap(self):
+        grid = build_structure("grid", DiscreteSpace((2,) * 20 + (5,) * 4))
+        states = np.random.default_rng(0).integers(0, 2, size=(30, 24))
+        along = np.arange(30) % 24
+        row, src, pos = grid.in_edges_along(states, along)
+        np.testing.assert_array_equal(grid.neighbor_states_at(src, pos), states[row])
+        # one flip along a binary dimension; along a five-category one, x + e_d,
+        # and x - e_d unless x is on the low edge
+        v = states[np.arange(30), along]
+        np.testing.assert_array_equal(np.bincount(row, minlength=30), 1 + ((along >= 20) & (v > 0)))
+
+    @pytest.mark.parametrize("kind", ["star", "complete", "explicit"])
+    def test_other_kinds_raise(self, kind):
+        space = DiscreteSpace((4,))
+        edges = {(0,): [(1,)]} if kind == "explicit" else None
+        structure = build_structure(kind, space, explicit_edges=edges)
+        with pytest.raises(ValueError, match="chain, cycle or grid"):
+            structure.in_edges_along(space.all_states(), np.zeros(4, dtype=np.int64))
+
+
+class TestCsrRows:
+    def test_rows_subset_matches_whole_array(self):
+        indptr = np.array([0, 2, 2, 5, 6])
+        row, offset = csr_rows(indptr)
+        np.testing.assert_array_equal(row, [0, 0, 2, 2, 2, 3])
+        np.testing.assert_array_equal(offset, [0, 1, 0, 1, 2, 0])
+        row, offset = csr_rows(indptr, np.array([3, 1, 2]))
+        np.testing.assert_array_equal(row, [3, 2, 2, 2])
+        np.testing.assert_array_equal(offset, [0, 0, 1, 2])
 
 
 class TestAgainstReference:

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from csm import autodiff as ad
 from csm import objectives as obj
 from csm.autodiff import Tensor, gradient_check
 from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv, reconstruct_density
@@ -192,6 +193,124 @@ class TestUnbiasedness:
         a = obj.estimate_j2(model, batch, structure, rev, rng).value
         b = obj.estimate_j2_structured(model, batch, structure, rng).value
         assert a == pytest.approx(b, abs=1e-12)  # both deterministic given the batch
+
+
+# A tests-only scalar reference of the single-draw estimator terms as separate
+# tape expressions, with the same draws: one neighbor slot per nonempty batch
+# state, then (grids only) one dimension per batch state.
+
+
+def _ref_j1(model, batch, structure, rng):
+    degs = np.array([structure.degree(tuple(x)) for x in batch])
+    if not degs.any():
+        return Tensor(0.0)
+    rows = np.flatnonzero(degs > 0)
+    pos = rng.integers(0, degs[rows])
+    c = obj._entries_t(model, structure, batch[rows], pos)
+    per = ad.mul(ad.add(ad.square(c), ad.mul(c, 2.0)), degs[rows].astype(np.float64))
+    return ad.mul(ad.tsum(per), 1.0 / len(batch))
+
+
+def _ref_j2(model, batch, structure, rev, rng):
+    space = structure.space
+    flat = [space.index_of(x) for x in batch]
+    counts = np.array([rev.indptr[i + 1] - rev.indptr[i] for i in flat])
+    if not counts.any():
+        return Tensor(0.0)
+    rows = np.flatnonzero(counts > 0)
+    k = rng.integers(0, counts[rows])
+    sel = [rev.indptr[flat[r]] + j for r, j in zip(rows, k)]
+    c = obj._entries_t(model, structure, rev.src[sel], rev.pos[sel])
+    return ad.mul(ad.tsum(ad.mul(c, 2.0 * counts[rows])), 1.0 / len(batch))
+
+
+def _ref_j2_structured(model, batch, structure, rng):
+    space, b = structure.space, len(batch)
+    if structure.kind != "grid":
+        n = space.total_states
+        flat = [space.index_of(x) for x in batch]
+        pred = [(i - 1) % n for i in flat if structure.kind == "cycle" or i > 0]
+        if not pred:
+            return Tensor(0.0)
+        c = obj._entries_t(model, structure, np.array(pred), np.zeros(len(pred), dtype=np.int64))
+        return ad.mul(ad.tsum(ad.mul(c, 2.0)), 1.0 / b)
+    d = rng.integers(0, space.ndim, size=b)
+    wrap = structure.boundary == "wrap"
+    blocks = {"flip": [], "pred": [], "succ": []}
+    for x, dd in zip(batch.tolist(), d.tolist()):
+        n, v = space.dims[dd], x[dd]
+        moves = {"flip": [1 - v] if n == 2 else [],
+                 "pred": [(v - 1) % n] if n > 2 and (wrap or v > 0) else [],
+                 "succ": [(v + 1) % n] if n > 2 and (wrap or v + 1 < n) else []}
+        for block, values in moves.items():
+            for value in values:
+                y = list(x)
+                y[dd] = value
+                blocks[block].append((y, structure.neighbors(y).index(tuple(x))))
+    edges = blocks["flip"] + blocks["pred"] + blocks["succ"]
+    src = np.array([y for y, _ in edges], dtype=np.int64)
+    c = obj._entries_t(model, structure, src, np.array([p for _, p in edges]))
+    return ad.mul(ad.tsum(ad.mul(c, 2.0 * space.ndim)), 1.0 / b)
+
+
+DIFFERENTIAL_CASES = [
+    ("chain", (9,), "drop"), ("cycle", (9,), "drop"), ("chain", (3, 4), "drop"),
+    ("cycle", (2, 3), "drop"), ("grid", (5, 4), "drop"), ("grid", (5, 4), "wrap"),
+    ("grid", (2, 3, 4), "drop"), ("grid", (2, 3, 4), "wrap"), ("grid", (3, 2, 5), "drop"),
+    ("grid", (2, 2, 2, 2), "drop"), ("grid", (3,), "drop"),
+]
+
+
+class TestDifferential:
+    """Estimators against the scalar reference: values, gradients and the
+    generator state after the call."""
+
+    @staticmethod
+    def models(structure, rng):
+        space = structure.space
+        table = LogitTableModel(space)
+        table.params["logits"].data = rng.standard_normal(space.total_states)
+        out = [table]
+        if structure.uniform_degree():
+            out.append(ScoreNetModel(space, degree=structure.uniform_degree(), hidden=(5,), seed=4))
+        if all(n == 2 for n in space.dims):
+            out.append(MaskedARModel(space.ndim, hidden=(5,), seed=5))
+        return out
+
+    @staticmethod
+    def assert_same(got, ref_model, ref_loss, rng_got, rng_ref):
+        ref = obj._finalize(ref_model, ref_loss, {})
+        assert got.value == pytest.approx(ref.value, rel=1e-12, abs=1e-300)
+        for name, grad in ref.grads.items():
+            scale = max(np.abs(grad).max(), 1e-300)
+            assert np.abs(got.grads[name] - grad).max() <= 1e-12 * scale, name
+        assert rng_got.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind,dims,boundary", DIFFERENTIAL_CASES)
+    def test_matches_scalar_reference(self, kind, dims, boundary):
+        structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        space = structure.space
+        rev = build_reverse_index(structure)
+        rng = np.random.default_rng(41)
+        flat = np.concatenate([[0], rng.integers(0, space.total_states, size=30)])
+        batch = space.states_of(flat)
+        calls = {
+            "j1": (lambda m, r: obj.estimate_j1(m, batch, structure, r),
+                   lambda m, r: _ref_j1(m, batch, structure, r)),
+            "j2": (lambda m, r: obj.estimate_j2(m, batch, structure, rev, r),
+                   lambda m, r: _ref_j2(m, batch, structure, rev, r)),
+            "j2_structured": (lambda m, r: obj.estimate_j2_structured(m, batch, structure, r),
+                              lambda m, r: _ref_j2_structured(m, batch, structure, r)),
+            "structured": (lambda m, r: obj.csm_structured_loss(m, batch, structure, r),
+                           lambda m, r: ad.sub(_ref_j1(m, batch, structure, r),
+                                               _ref_j2_structured(m, batch, structure, r))),
+        }
+        for model in self.models(structure, rng):
+            for name, (new, ref) in calls.items():
+                rng_got, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+                got = new(model, rng_got)
+                assert got.meta["edges"] > 0, name
+                self.assert_same(got, model, ref(model, rng_ref), rng_got, rng_ref)
 
 
 def _explicit_two_regular():
@@ -505,6 +624,20 @@ class TestGradientsAcrossPairs:
             report = gradient_check(net.params, loss, rng=np.random.default_rng(4))
             assert report["max_rel_error"] < 1e-4, f"{name}: {report}"
 
+    def test_masked_ar_structured_beyond_enumeration_cap(self):
+        model = MaskedARModel(24, hidden=(4,), seed=8)
+        grid = build_structure("grid", model.space)
+        assert not grid.space.enumerable
+        batch = np.random.default_rng(15).integers(0, 2, size=(12, 24))
+        loss = lambda: obj.csm_structured_loss(model, batch, grid, np.random.default_rng(16))
+        out = loss()
+        assert np.isfinite(out.value)
+        # one drawn out-edge and one bit-flip in-edge per batch state
+        assert out.meta["j2_edges"] == 12
+        assert out.meta["edges"] == 24
+        report = gradient_check(model.params, loss, max_checks=25, rng=np.random.default_rng(17))
+        assert report["max_rel_error"] < 1e-4, report
+
     def test_masked_ar_pairs(self):
         rng = np.random.default_rng(14)
         model = MaskedARModel(4, hidden=(10,), seed=6)
@@ -546,3 +679,25 @@ class TestDispatch:
         cycle = build_structure("cycle", DiscreteSpace((4,)))
         with pytest.raises(ValueError):
             obj.make_objective("csm_mc", structure=cycle)
+
+    def test_each_name_builds_with_exactly_its_context(self):
+        space = DiscreteSpace((6,))
+        cycle = build_structure("cycle", space)
+        rng = np.random.default_rng(1)
+        p = TabularDistribution.random_positive(space, rng)
+        context = {"structure": cycle, "empirical": p, "kernel": obj.NoiseKernel(space, w=0.9),
+                   "reverse_index": build_reverse_index(cycle)}
+        model = LogitTableModel(space)
+        batch = p.sample(16, rng)
+        assert obj.OBJECTIVE_NAMES == tuple(obj.OBJECTIVES)
+        for name in obj.OBJECTIVE_NAMES:
+            needs, _ = obj.OBJECTIVES[name]
+            fn = obj.make_objective(name, **{key: context[key] for key in needs})
+            assert np.isfinite(fn(model, batch, rng).value), name
+            for key in needs:
+                with pytest.raises(ValueError, match=key):
+                    obj.make_objective(name, **{k: context[k] for k in needs if k != key})
+
+    def test_unknown_keyword_rejected(self):
+        with pytest.raises(TypeError):
+            obj.make_objective("nll", noise=0.1)
