@@ -34,12 +34,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, leaf={self._vjp is None})"
-
     def backward(self):
         """Accumulate d(self)/d(ancestor) into every ancestor's ``grad``."""
         if self.data.size != 1:
@@ -252,15 +246,13 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray] | None = None):
-        """Update every parameter in place from ``grads`` (default: ``.grad``)."""
+    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]):
+        """Update every parameter in place from ``grads[name]``."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, p in params.items():
-            g = grads[name] if grads is not None else p.grad
-            if g is None:
-                continue
+            g = grads[name]
             if not np.all(np.isfinite(g)):
                 bad = int(np.flatnonzero(~np.isfinite(g))[0])
                 raise FloatingPointError(f"non-finite gradient for {name!r} at flat index {bad}")
@@ -272,11 +264,6 @@ class Adam:
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def zero_grads(params: dict[str, Tensor]):
-    for p in params.values():
-        p.grad = None
 
 
 def gradient_check(

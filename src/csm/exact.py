@@ -53,9 +53,6 @@ class TabularDistribution:
     def strictly_positive(self) -> bool:
         return bool(self.mass.min() > 0)
 
-    def prob(self, state: Sequence[int]) -> float:
-        return float(self.mass[self.space.index_of(self.space.validate_state(state))])
-
     def probs_of(self, states: np.ndarray) -> np.ndarray:
         return self.mass[self.space.indices_of(states)]
 

@@ -32,7 +32,7 @@ are built lazily and are safe to share across read-only workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -201,18 +201,6 @@ class NeighborhoodStructure:
         return _indptr(degs), np.array([j for i in sorted(rows) for j in rows[i]], dtype=np.int64)
 
     # -- single-state queries -------------------------------------------------
-
-    def neighbors(self, x: Sequence[int]) -> list[State]:
-        """Ordered neighbor list of one state (deterministic across calls)."""
-        x = self.space.validate_state(x)
-        if self.space.enumerable:
-            indptr, indices = self.adjacency()
-            i = self.space.index_of(x)
-            dst = self.space.states_of(indices[indptr[i] : indptr[i + 1]])
-        else:
-            deg = self.degree(x)
-            dst = self._grid_neighbor_at(np.tile(np.asarray(x), (deg, 1)), np.arange(deg))
-        return [tuple(s) for s in dst.tolist()]
 
     def degree(self, x: Sequence[int]) -> int:
         x = self.space.validate_state(x)
@@ -475,10 +463,6 @@ class ReverseIndex:
         flat = self.structure.space.indices_of(np.asarray(states, dtype=np.int64))
         return self.indptr[flat + 1] - self.indptr[flat]
 
-    @property
-    def total_edges(self) -> int:
-        return int(self.indptr[-1])
-
 
 def build_reverse_index(structure: NeighborhoodStructure) -> ReverseIndex:
     """Invert the neighbor map; costs O(number of edges)."""
@@ -507,28 +491,11 @@ def _is_single_component(n: int, a: np.ndarray, b: np.ndarray) -> bool:
             parent = parent[parent]
 
 
-def is_weakly_connected(
-    structure: NeighborhoodStructure, support: Iterable[Sequence[int]] | None = None
-) -> bool:
-    """True iff the undirected view restricted to ``support`` is connected.
-
-    ``support=None`` means the whole (enumerable) space, and the answer
-    is cached on the structure. Edges leaving the support are ignored; a
-    support on a grid beyond the enumeration cap is checked by grid arithmetic.
-    """
-    space = structure.space
-    if support is None:
-        if structure._connected is None:
-            n = space.require_enumerable("connectivity check")
-            src, _, dst = structure.edges()
-            structure._connected = _is_single_component(n, src, dst)
-        return structure._connected
-    states = np.asarray([space.validate_state(s) for s in support], dtype=np.int64)
-    if not states.size:
-        raise ValueError("empty support")
-    members, first = np.unique(space.indices_of(states), return_index=True)
-    row, _, nbr = structure.all_neighbors_of(states[first])
-    flat = space.indices_of(nbr)
-    at = np.minimum(np.searchsorted(members, flat), members.size - 1)
-    inside = members[at] == flat
-    return _is_single_component(members.size, row[inside], at[inside])
+def is_weakly_connected(structure: NeighborhoodStructure) -> bool:
+    """True iff the undirected view joins every state of the (enumerable)
+    space; the answer is cached on the structure."""
+    if structure._connected is None:
+        n = structure.space.require_enumerable("connectivity check")
+        src, _, dst = structure.edges()
+        structure._connected = _is_single_component(n, src, dst)
+    return structure._connected

@@ -1,7 +1,8 @@
 """Trainable score and density models.
 
-Two families satisfy the score-model interface (``score_vector`` for
-evaluation, ``score_entries_t`` for differentiable training):
+Every model is a :class:`ScoreModel`: it gives the Concrete score
+c(x)_i = p(N(x)_i)/p(x) - 1 through one tape method, ``score_entries_t``,
+from which the base class derives ``score_entries`` and ``score_vector``.
 
 - density models expose an unnormalized log-mass and imply their score
   through neighbor ratios exp(log q(x_n) - log q(x)) - 1: a logit table
@@ -10,6 +11,7 @@ evaluation, ``score_entries_t`` for differentiable training):
 - a feed-forward score network outputs the score vector directly and
   only works on fixed-degree structures.
 
+The two networks share one tanh MLP (:func:`_mlp_params`, :func:`_mlp_t`).
 All parameters are float64 tensors on the tape in :mod:`csm.autodiff`;
 ``fit`` runs seeded minibatch Adam over any objective callable.
 """
@@ -27,13 +29,51 @@ from .autodiff import Tensor
 from .graphs import DiscreteSpace, NeighborhoodStructure
 
 
-class DensityModel:
-    """Base for models exposing unnormalized log-mass over states."""
+def _mlp_params(widths: Sequence[int], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Weights ``w{l}`` drawn N(0, 1/fan_in) layer by layer and zero biases ``b{l}``,
+    in the order w0, b0, w1, b1, ... that the forward passes slice."""
+    params = {}
+    for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        params[f"w{layer}"] = ad.parameter(rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
+        params[f"b{layer}"] = ad.parameter(np.zeros(fan_out))
+    return params
 
-    kind = "density"
+
+def _mlp_t(h, weights: Sequence, biases: Sequence) -> Tensor:
+    """Affine layers with tanh between them and none after the last."""
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        if layer:
+            h = ad.ttanh(h)
+        h = ad.add(ad.matmul(h, w), b)
+    return h
+
+
+class ScoreModel:
+    """Base of every model: the score surface built on ``score_entries_t``."""
+
+    kind: str
     space: DiscreteSpace
     params: dict[str, Tensor]
     seed: int
+
+    def score_entries_t(
+        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
+    ) -> Tensor:
+        """Differentiable score entries c(states[j])[positions[j]]."""
+        raise NotImplementedError
+
+    def score_entries(self, structure, states, positions) -> np.ndarray:
+        return self.score_entries_t(structure, states, positions).data
+
+    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int]) -> np.ndarray:
+        state = self.space.validate_state(x)
+        deg = structure.degree(state)
+        batch = np.tile(np.asarray(state, dtype=np.int64), (deg, 1))
+        return self.score_entries(structure, batch, np.arange(deg))
+
+
+class DensityModel(ScoreModel):
+    """Base for models exposing unnormalized log-mass over states."""
 
     def log_mass_unnorm_t(self, states: np.ndarray) -> Tensor:
         raise NotImplementedError
@@ -45,32 +85,13 @@ class DensityModel:
     def log_mass_unnorm(self, states: np.ndarray) -> np.ndarray:
         return self.log_mass_unnorm_t(np.asarray(states, dtype=np.int64)).data
 
-    def log_mass(self, x: Sequence[int]) -> float:
-        state = self.space.validate_state(x)
-        return float(self.log_mass_t(np.asarray([state], dtype=np.int64)).data[0])
-
     def score_entries_t(
         self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
     ) -> Tensor:
-        """Differentiable score entries c(states[j])[positions[j]]."""
         states = np.asarray(states, dtype=np.int64)
         dst = structure.neighbor_states_at(states, positions)
         delta = ad.sub(self.log_mass_unnorm_t(dst), self.log_mass_unnorm_t(states))
         return ad.sub(ad.texp(delta), 1.0)
-
-    def score_entries(self, structure, states, positions) -> np.ndarray:
-        return self.score_entries_t(structure, states, positions).data
-
-    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int]) -> np.ndarray:
-        state = self.space.validate_state(x)
-        deg = structure.degree(state)
-        if deg == 0:
-            return np.empty(0)
-        batch = np.tile(np.asarray(state, dtype=np.int64), (deg, 1))
-        return self.score_entries(structure, batch, np.arange(deg))
-
-    def zero_grad(self):
-        ad.zero_grads(self.params)
 
     def conditional_log_probs_t(self, states: np.ndarray, d: int) -> Tensor:
         """Full conditionals log q(value | other coords) for dimension d.
@@ -133,7 +154,7 @@ class LogitTableModel(DensityModel):
         return {"dims": list(self.space.dims)}
 
 
-class ScoreNetModel:
+class ScoreNetModel(ScoreModel):
     """Feed-forward network emitting the score vector directly.
 
     Maps a normalized state encoding to one output per neighbor slot, so
@@ -160,14 +181,7 @@ class ScoreNetModel:
         self.seed = seed
         self.one_hot = one_hot
         in_dim = sum(space.dims) if one_hot else space.ndim
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-        widths = (in_dim, *self.hidden, degree)
-        for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-            self.params[f"w{layer}"] = ad.parameter(w)
-            self.params[f"b{layer}"] = ad.parameter(np.zeros(fan_out))
-        self.n_layers = len(widths) - 1
+        self.params = _mlp_params((in_dim, *self.hidden, degree), np.random.default_rng(seed))
 
     def encode(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
@@ -182,38 +196,20 @@ class ScoreNetModel:
         return 2.0 * states / (dims - 1.0) - 1.0
 
     def forward_t(self, encoded: np.ndarray) -> Tensor:
-        h: Tensor | np.ndarray = encoded
-        for layer in range(self.n_layers):
-            h = ad.add(ad.matmul(h, self.params[f"w{layer}"]), self.params[f"b{layer}"])
-            if layer < self.n_layers - 1:
-                h = ad.ttanh(h)
-        return h
+        layers = list(self.params.values())
+        return _mlp_t(encoded, layers[0::2], layers[1::2])
 
-    def _check_structure(self, structure: NeighborhoodStructure):
+    def score_entries_t(
+        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
+    ) -> Tensor:
         deg = structure.uniform_degree()
         if deg != self.degree:
             raise ValueError(
                 f"score net emits {self.degree} entries but structure degree is {deg}"
             )
-
-    def score_entries_t(
-        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
-    ) -> Tensor:
-        self._check_structure(structure)
         out = self.forward_t(self.encode(states))
         m = np.asarray(states).shape[0]
         return ad.take_pairs(out, np.arange(m), np.asarray(positions, dtype=np.int64))
-
-    def score_entries(self, structure, states, positions) -> np.ndarray:
-        return self.score_entries_t(structure, states, positions).data
-
-    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int]) -> np.ndarray:
-        self._check_structure(structure)
-        state = self.space.validate_state(x)
-        return self.forward_t(self.encode(np.asarray([state]))).data[0]
-
-    def zero_grad(self):
-        ad.zero_grads(self.params)
 
     def config(self) -> dict:
         return {
@@ -241,37 +237,22 @@ class MaskedARModel(DensityModel):
         self.n_dims = n_dims
         self.hidden = tuple(int(h) for h in hidden)
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        in_deg = np.arange(1, n_dims + 1)
-        prev_deg = in_deg
-        self.params = {}
+        self.params = _mlp_params((n_dims, *self.hidden, n_dims), np.random.default_rng(seed))
+        prev_deg = np.arange(1, n_dims + 1)
         self._masks: list[np.ndarray] = []
-        widths = (n_dims, *self.hidden, n_dims)
-        for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            last = layer == len(widths) - 2
-            if last:
-                deg = np.arange(1, n_dims + 1)
-                mask = (deg[None, :] > prev_deg[:, None]).astype(np.float64)
-            else:
-                # hidden degrees cycle 1..D-1 (all-1 when D == 1, which
-                # disconnects everything: a single bit has no parents)
-                deg = (np.arange(fan_out) % max(n_dims - 1, 1)) + 1
-                mask = (deg[None, :] >= prev_deg[:, None]).astype(np.float64)
-            w = rng.standard_normal((fan_in, fan_out)) / np.sqrt(max(fan_in, 1))
-            self.params[f"w{layer}"] = ad.parameter(w)
-            self.params[f"b{layer}"] = ad.parameter(np.zeros(fan_out))
-            self._masks.append(mask)
+        for width in self.hidden:
+            # hidden degrees cycle 1..D-1 (all-1 when D == 1, which
+            # disconnects everything: a single bit has no parents)
+            deg = (np.arange(width) % max(n_dims - 1, 1)) + 1
+            self._masks.append((deg[None, :] >= prev_deg[:, None]).astype(np.float64))
             prev_deg = deg
-        self.n_layers = len(widths) - 1
+        out_deg = np.arange(1, n_dims + 1)
+        self._masks.append((out_deg[None, :] > prev_deg[:, None]).astype(np.float64))
 
     def cond_logits_t(self, states: np.ndarray) -> Tensor:
-        h: Tensor | np.ndarray = np.asarray(states, dtype=np.float64)
-        for layer in range(self.n_layers):
-            w = ad.mul(self.params[f"w{layer}"], self._masks[layer])
-            h = ad.add(ad.matmul(h, w), self.params[f"b{layer}"])
-            if layer < self.n_layers - 1:
-                h = ad.ttanh(h)
-        return h
+        layers = list(self.params.values())
+        weights = [ad.mul(w, mask) for w, mask in zip(layers[0::2], self._masks)]
+        return _mlp_t(np.asarray(states, dtype=np.float64), weights, layers[1::2])
 
     def log_mass_t(self, states: np.ndarray) -> Tensor:
         states = np.asarray(states, dtype=np.int64)
@@ -288,6 +269,9 @@ class MaskedARModel(DensityModel):
         return {"n_dims": self.n_dims, "hidden": list(self.hidden)}
 
 
+LOG_EVERY = 100
+
+
 def fit(
     model,
     objective: Callable[[object, np.ndarray, np.random.Generator], object],
@@ -296,10 +280,9 @@ def fit(
     batch_size: int = 128,
     lr: float = 5e-4,
     seed: int = 0,
-    log_every: int = 100,
-    callback: Callable[[int, float], None] | None = None,
 ) -> list[tuple[int, float, float]]:
-    """Minibatch Adam loop; returns (iteration, objective value, wall seconds) rows.
+    """Minibatch Adam loop; returns (iteration, objective value, wall seconds)
+    rows at the first and last iteration and every ``LOG_EVERY``-th.
 
     The objective is called as objective(model, batch, rng) and must
     return an object with ``value`` and ``grads``. Non-finite loss or
@@ -313,7 +296,6 @@ def fit(
     for it in range(1, iterations + 1):
         # np.take gives the same rows as samples[idx], faster on large arrays
         batch = np.take(samples, rng.integers(0, samples.shape[0], size=batch_size), axis=0)
-        model.zero_grad()
         out = objective(model, batch, rng)
         if not np.isfinite(out.value):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
@@ -321,34 +303,26 @@ def fit(
             opt.step(model.params, out.grads)
         except FloatingPointError as exc:
             raise FloatingPointError(f"iteration {it}: {exc}") from exc
-        if it == 1 or it == iterations or it % log_every == 0:
+        if it == 1 or it == iterations or it % LOG_EVERY == 0:
             rows.append((it, out.value, time.perf_counter() - start))
-        if callback is not None:
-            callback(it, out.value)
     return rows
 
 
-_MODEL_KINDS = {
-    "logit_table": LogitTableModel,
-    "score_net": ScoreNetModel,
-    "masked_ar": MaskedARModel,
-}
+_MODEL_KINDS = {cls.kind: cls for cls in (LogitTableModel, ScoreNetModel, MaskedARModel)}
 
 
 def _build_from_config(kind: str, config: dict, seed: int):
-    if kind == "logit_table":
-        return LogitTableModel(DiscreteSpace(tuple(config["dims"])), seed=seed)
-    if kind == "score_net":
-        return ScoreNetModel(
-            DiscreteSpace(tuple(config["dims"])),
-            degree=config["degree"],
-            hidden=config["hidden"],
-            seed=seed,
-            one_hot=config.get("one_hot", False),
-        )
-    if kind == "masked_ar":
-        return MaskedARModel(config["n_dims"], hidden=config["hidden"], seed=seed)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """The model of a checkpoint header: ``config()`` as constructor keywords."""
+    if kind not in _MODEL_KINDS:
+        raise CheckpointError(f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}")
+    cls = _MODEL_KINDS[kind]
+    kwargs = dict(config, seed=seed)
+    if "dims" in kwargs:
+        kwargs["space"] = DiscreteSpace(tuple(kwargs.pop("dims")))
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise CheckpointError(f"checkpoint config {config} does not fit {kind!r}: {exc}") from exc
 
 
 def _model_header(model) -> dict:
@@ -380,7 +354,8 @@ def save_checkpoint(path, model_or_models) -> None:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose payload does not match its header."""
+    """A checkpoint whose header is not JSON, names an unknown kind or a config
+    that does not fit it, or lists parameters its payload does not match."""
 
 
 def _load_one(header: dict, raw: bytes, offset: int):
@@ -402,11 +377,15 @@ def _load_one(header: dict, raw: bytes, offset: int):
 
 
 def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns a model or a list. A payload
-    shorter or longer than its header lists raises :class:`CheckpointError`."""
+    """Inverse of :func:`save_checkpoint`; returns a model or a list. A bad
+    header, or a payload shorter or longer than its header lists, raises
+    :class:`CheckpointError`."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        raw = fh.read()
+        line, raw = fh.readline(), fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header is not JSON: {exc}") from None
     bundle = header.get("kind") == "bundle"
     models, offset = [], 0
     for sub in header["models"] if bundle else [header]:

@@ -197,7 +197,6 @@ def run_chain(
     thin: int = 1,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    check_connected: bool = True,
 ) -> tuple[np.ndarray, ChainState]:
     """Run Metropolis-Hastings and return (kept states, final chain state).
 
@@ -212,10 +211,9 @@ def run_chain(
 
     Keeps every ``thin``-th state after ``burn_in`` steps; ``steps=0``
     returns just the initial state. Refuses to start on a structure whose
-    undirected view is disconnected; the check runs once per structure
-    and ``check_connected=False`` skips it. The space must be enumerable
-    either way: the ratios are built over the whole space, so a
-    non-enumerable space raises ``EnumerationCapExceeded``.
+    undirected view is disconnected; the check runs once per structure. The
+    space must be enumerable: the check and the ratios cover the whole
+    space, so a non-enumerable space raises ``EnumerationCapExceeded``.
     """
     space = structure.space
     init = space.validate_state(init)
@@ -223,11 +221,8 @@ def run_chain(
         raise ValueError("steps and burn_in must be >= 0, thin >= 1")
     if steps and burn_in >= steps:
         raise ValueError("need steps > burn_in")
-    if check_connected:
-        if not space.enumerable:
-            raise ValueError("connectivity check needs an enumerable space")
-        if not is_weakly_connected(structure):
-            raise ValueError("structure is not weakly connected; the chain cannot be ergodic")
+    if not is_weakly_connected(structure):
+        raise ValueError("structure is not weakly connected; the chain cannot be ergodic")
     rng = rng if rng is not None else np.random.default_rng(seed)
     if steps == 0:
         return np.asarray([init], dtype=np.int64), ChainState(current=init)

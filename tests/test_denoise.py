@@ -130,7 +130,7 @@ class TestPosterior:
             x = rng.uniform(0.01, 2.99, size=2)
             corners, w = posterior_weights(x, ratio)
             oracle = np.array([
-                p.prob(tuple(c)) * triangular_pdf(x - c) for c in corners
+                p.mass[p.space.index_of(c)] * triangular_pdf(x - c) for c in corners
             ])
             np.testing.assert_allclose(w, oracle / oracle.sum(), atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Score and density models: implied scores, masking, checkpoints, fitting."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from csm import autodiff as ad
 from csm.exact import TabularDistribution, concrete_score_exact
 from csm.graphs import DiscreteSpace, build_structure
 from csm.models import (
+    _MODEL_KINDS,
     CheckpointError,
     LogitTableModel,
     MaskedARModel,
@@ -21,8 +24,9 @@ from csm.objectives import jcsm_exact, nll_loss
 class TestLogitTable:
     def test_uniform_log_mass(self):
         model = LogitTableModel(DiscreteSpace((16,)))
-        assert model.log_mass((3,)) == pytest.approx(-np.log(16.0))
-        assert model.log_mass((15,)) == pytest.approx(-2.7726, abs=1e-4)
+        log_mass = model.log_mass_t(np.array([[3], [15]])).data
+        assert log_mass[0] == pytest.approx(-np.log(16.0))
+        assert log_mass[1] == pytest.approx(-2.7726, abs=1e-4)
 
     def test_normalization_sums_to_one(self):
         model = LogitTableModel(DiscreteSpace((4, 5)), seed=1, init_scale=1.0)
@@ -83,8 +87,9 @@ class TestScoreNet:
         space = DiscreteSpace((16,))
         net = ScoreNetModel(space, degree=1, hidden=(12,), seed=0)
         chain = build_structure("chain", space)
-        with pytest.raises(ValueError):
-            net.score_vector(chain, (5,))
+        for x in [(5,), (15,)]:  # the last chain state has no neighbors
+            with pytest.raises(ValueError, match="structure degree is None"):
+                net.score_vector(chain, x)
 
     def test_deterministic_given_seed(self):
         space = DiscreteSpace((8, 8))
@@ -108,6 +113,73 @@ class TestScoreNet:
         np.testing.assert_allclose(enc[1], [1.0, 1.0])
 
 
+def reference_mlp_draw(widths, seed):
+    """Per-layer reference draw: w{l} ~ N(0, 1/fan_in) in layer order, zero b{l}."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for layer, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        params[f"w{layer}"] = rng.standard_normal((fan_in, fan_out)) / np.sqrt(max(fan_in, 1))
+        params[f"b{layer}"] = np.zeros(fan_out)
+    return params
+
+
+def reference_made_masks(n_dims, hidden):
+    """MADE degree masks: hidden degrees cycle 1..D-1, output d sees degrees below d."""
+    prev, masks = np.arange(1, n_dims + 1), []
+    for layer, width in enumerate((*hidden, n_dims)):
+        if layer == len(hidden):
+            deg = np.arange(1, n_dims + 1)
+            masks.append((deg[None, :] > prev[:, None]).astype(np.float64))
+        else:
+            deg = (np.arange(width) % max(n_dims - 1, 1)) + 1
+            masks.append((deg[None, :] >= prev[:, None]).astype(np.float64))
+        prev = deg
+    return masks
+
+
+def reference_forward(x, params, masks=None):
+    """Numpy tanh MLP over ``params``, weights multiplied by ``masks`` when given."""
+    n_layers = len(params) // 2
+    h = x
+    for layer in range(n_layers):
+        w = params[f"w{layer}"] if masks is None else params[f"w{layer}"] * masks[layer]
+        h = h @ w + params[f"b{layer}"]
+        if layer < n_layers - 1:
+            h = np.tanh(h)
+    return h
+
+
+class TestSharedMLP:
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("n_dims,hidden", [(5, (7, 6)), (1, (3,)), (4, ())])
+    def test_masked_ar_draws_and_masks(self, seed, n_dims, hidden):
+        model = MaskedARModel(n_dims, hidden=hidden, seed=seed)
+        want = reference_made_masks(n_dims, hidden)
+        ref = reference_mlp_draw((n_dims, *hidden, n_dims), seed)
+        assert list(model.params) == list(ref)
+        for name, arr in ref.items():
+            np.testing.assert_array_equal(model.params[name].data, arr)
+        assert len(model._masks) == len(want)
+        for got, mask in zip(model._masks, want):
+            np.testing.assert_array_equal(got, mask)
+        x = model.space.all_states()
+        np.testing.assert_array_equal(
+            model.cond_logits_t(x).data, reference_forward(x.astype(np.float64), ref, want)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_score_net_draws(self, seed, one_hot):
+        space = DiscreteSpace((3, 4))
+        net = ScoreNetModel(space, degree=4, hidden=(6, 5), seed=seed, one_hot=one_hot)
+        ref = reference_mlp_draw((7 if one_hot else 2, 6, 5, 4), seed)
+        assert list(net.params) == list(ref)
+        for name, arr in ref.items():
+            np.testing.assert_array_equal(net.params[name].data, arr)
+        enc = net.encode(space.all_states())
+        np.testing.assert_array_equal(net.forward_t(enc).data, reference_forward(enc, ref))
+
+
 class TestMaskedAR:
     def test_exact_normalization(self):
         model = MaskedARModel(6, hidden=(20, 20), seed=3)
@@ -119,7 +191,7 @@ class TestMaskedAR:
         model = MaskedARModel(8, hidden=(10,), seed=0)
         for p in model.params.values():
             p.data = np.zeros_like(p.data)
-        assert model.log_mass((0,) * 8) == pytest.approx(-8 * np.log(2.0))
+        assert model.log_mass_t(np.zeros((1, 8))).data[0] == pytest.approx(-8 * np.log(2.0))
 
     @pytest.mark.parametrize("n_dims", [2, 4, 8])
     def test_autoregressive_mask(self, n_dims):
@@ -245,6 +317,75 @@ class TestCheckpoints:
             load_checkpoint(path)
         path.write_bytes(good[:-3])  # cut inside the last parameter
         with pytest.raises(CheckpointError, match="too short"):
+            load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header dict in place."""
+    line, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+KIND_EXAMPLES = {
+    "logit_table": lambda: LogitTableModel(DiscreteSpace((3, 4)), seed=3, init_scale=0.5),
+    "score_net": lambda: ScoreNetModel(DiscreteSpace((3, 4)), degree=4, hidden=(5,), seed=1,
+                                       one_hot=True),
+    "masked_ar": lambda: MaskedARModel(4, hidden=(6, 3), seed=2),
+}
+
+
+class TestCheckpointErrors:
+    def test_every_kind_round_trips(self, tmp_path):
+        assert set(KIND_EXAMPLES) == set(_MODEL_KINDS)
+        for kind, build in KIND_EXAMPLES.items():
+            model = build()
+            path = tmp_path / f"{kind}.bin"
+            save_checkpoint(path, model)
+            loaded = load_checkpoint(path)
+            assert type(loaded) is _MODEL_KINDS[kind]
+            assert loaded.config() == model.config() and loaded.seed == model.seed
+            for name, p in model.params.items():
+                np.testing.assert_array_equal(loaded.params[name].data, p.data)
+            again = tmp_path / f"{kind}-again.bin"
+            save_checkpoint(again, loaded)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_score_net_header_without_one_hot_loads(self, tmp_path):
+        net = ScoreNetModel(DiscreteSpace((16,)), degree=1, hidden=(4,), seed=0)
+        path = tmp_path / "net.bin"
+        save_checkpoint(path, net)
+        rewrite_header(path, lambda h: h["config"].pop("one_hot"))
+        loaded = load_checkpoint(path)
+        assert loaded.one_hot is False
+        np.testing.assert_array_equal(loaded.params["w0"].data, net.params["w0"].data)
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"{not json\n" + b"\x00" * 8)
+        with pytest.raises(CheckpointError, match="header is not JSON"):
+            load_checkpoint(path)
+
+    def test_unknown_kind(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MaskedARModel(3, hidden=(4,), seed=0))
+        rewrite_header(path, lambda h: h.update(kind="made"))
+        with pytest.raises(CheckpointError, match="unknown model kind 'made'"):
+            load_checkpoint(path)
+
+    def test_config_missing_key(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, ScoreNetModel(DiscreteSpace((16,)), degree=1, hidden=(4,)))
+        rewrite_header(path, lambda h: h["config"].pop("degree"))
+        with pytest.raises(CheckpointError, match="missing .*'degree'"):
+            load_checkpoint(path)
+
+    def test_config_unexpected_key(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MaskedARModel(3, hidden=(4,), seed=0))
+        rewrite_header(path, lambda h: h["config"].update(depth=2))
+        with pytest.raises(CheckpointError, match="unexpected .*'depth'"):
             load_checkpoint(path)
 
 

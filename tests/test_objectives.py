@@ -8,7 +8,7 @@ import pytest
 from csm import autodiff as ad
 from csm import objectives as obj
 from csm.autodiff import Tensor, gradient_check
-from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv, reconstruct_density
+from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv
 from csm.graphs import DiscreteSpace, build_reverse_index, build_structure
 from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel, fit
 
@@ -236,6 +236,7 @@ def _ref_j2_structured(model, batch, structure, rng):
         return ad.mul(ad.tsum(ad.mul(c, 2.0)), 1.0 / b)
     d = rng.integers(0, space.ndim, size=b)
     wrap = structure.boundary == "wrap"
+    indptr, indices = structure.adjacency()
     blocks = {"flip": [], "pred": [], "succ": []}
     for x, dd in zip(batch.tolist(), d.tolist()):
         n, v = space.dims[dd], x[dd]
@@ -246,7 +247,8 @@ def _ref_j2_structured(model, batch, structure, rng):
             for value in values:
                 y = list(x)
                 y[dd] = value
-                blocks[block].append((y, structure.neighbors(y).index(tuple(x))))
+                row = indices[indptr[space.index_of(y)] : indptr[space.index_of(y) + 1]]
+                blocks[block].append((y, row.tolist().index(space.index_of(x))))
     edges = blocks["flip"] + blocks["pred"] + blocks["succ"]
     src = np.array([y for y, _ in edges], dtype=np.int64)
     c = obj._entries_t(model, structure, src, np.array([p for _, p in edges]))

@@ -184,11 +184,11 @@ class TestRunChain:
 
 
     def test_needs_enumerable_space_without_connectivity_check(self):
-        """The ratios need the whole space even when the check is skipped."""
+        """The connectivity check and the ratios need the whole space."""
         grid = build_structure("grid", DiscreteSpace((10, 10), enumeration_cap=50))
         model = LogitTableModel(DiscreteSpace((10, 10)))
         with pytest.raises(EnumerationCapExceeded):
-            run_chain(model, grid, (0, 0), 10, seed=0, check_connected=False)
+            run_chain(model, grid, (0, 0), 10, seed=0)
 
 
 def _reference_chain(score_model, structure, init, steps, burn_in, thin, seed):
@@ -198,12 +198,11 @@ def _reference_chain(score_model, structure, init, steps, burn_in, thin, seed):
     for single-step proposals). Returns (kept flat indices, accepted, clamped)."""
     space = structure.space
     n = space.total_states
-    ratio, forward = {}, [[] for _ in range(n)]
+    indptr, indices = structure.adjacency()
+    ratio, forward = {}, [indices[indptr[u] : indptr[u + 1]].tolist() for u in range(n)]
     for u in range(n):
-        x = space.state_of(u)
-        for y, c in zip(structure.neighbors(x), score_model.score_vector(structure, x)):
-            ratio[u, space.index_of(y)] = float(c) + 1.0
-            forward[u].append(space.index_of(y))
+        for v, c in zip(forward[u], score_model.score_vector(structure, space.state_of(u))):
+            ratio[u, v] = float(c) + 1.0
     for (u, v), r in list(ratio.items()):
         ratio.setdefault((v, u), math.inf if r == 0 else 1.0 / r)
     und = [forward[u] + sorted(v for (w, v) in ratio if w == u and v not in forward[u])
