@@ -8,7 +8,7 @@ and denoise tent-perturbed data in closed form.
 __version__ = "0.1.0"
 
 from .graphs import DiscreteSpace, NeighborhoodStructure, build_reverse_index, build_structure, is_weakly_connected
-from .exact import TabularDistribution, concrete_score_exact, kl_and_tv, reconstruct_density
+from .exact import TabularDistribution, kl_and_tv, reconstruct_density
 
 __all__ = [
     "DiscreteSpace",
@@ -16,7 +16,6 @@ __all__ = [
     "TabularDistribution",
     "build_reverse_index",
     "build_structure",
-    "concrete_score_exact",
     "is_weakly_connected",
     "kl_and_tv",
     "reconstruct_density",

@@ -14,12 +14,10 @@ import numpy as np
 
 from . import objectives as obj
 from .denoise import make_ratio_fn, posterior_weights, recover_stein_score
-from .exact import TabularDistribution, concrete_score_exact, kl_and_tv, reconstruct_density, scaled_score_limit
+from .exact import TabularDistribution, kl_and_tv, reconstruct_density, scaled_score_limit
 from .graphs import DiscreteSpace, build_reverse_index, build_structure
 from .models import LogitTableModel
 from .samplers import run_chain
-
-SUITES = ("completeness", "estimators", "equivalence", "stein_limit", "denoise", "mh")
 
 
 @dataclass
@@ -54,9 +52,8 @@ def completeness_suite(seed: int = 0, n_dists: int = 50, tol: float = 1e-10) -> 
         worst = 0.0
         for _ in range(n_dists):
             p = TabularDistribution.random_positive(structure.space, rng)
-            recon = reconstruct_density(
-                lambda s: concrete_score_exact(p, structure, s), structure
-            )
+            oracle = LogitTableModel.from_distribution(p)
+            recon = reconstruct_density(lambda s: oracle.score_vector(structure, s), structure)
             worst = max(worst, float(np.abs(recon.mass - p.mass).max()))
         results.append(
             CheckResult(f"completeness_{kind}", worst < tol, worst, tol, f"{n_dists} round trips")
@@ -285,17 +282,18 @@ def mh_suite(seed: int = 0, steps: int = 100_000, burn_in: int = 10_000, tol: fl
     ]
 
 
+_SUITE_FNS = {
+    "completeness": completeness_suite,
+    "estimators": estimator_suite,
+    "equivalence": equivalence_suite,
+    "stein_limit": lambda seed: stein_limit_suite(),
+    "denoise": denoise_suite,
+    "mh": mh_suite,
+}
+SUITES = tuple(_SUITE_FNS)
+
+
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name == "completeness":
-        return completeness_suite(seed)
-    if name == "estimators":
-        return estimator_suite(seed)
-    if name == "equivalence":
-        return equivalence_suite(seed)
-    if name == "stein_limit":
-        return stein_limit_suite()
-    if name == "denoise":
-        return denoise_suite(seed)
-    if name == "mh":
-        return mh_suite(seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+    if name not in _SUITE_FNS:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
+    return _SUITE_FNS[name](seed)

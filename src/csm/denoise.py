@@ -13,9 +13,9 @@ over ``(..., D)`` integer state blocks that broadcast against each other;
 :func:`make_ratio_fn` builds one from a table. A state outside the space
 has zero mass, 0/0 gives 0 and a positive mass over zero gives inf.
 Every function takes a point ``(D,)`` or a block of points ``(M, D)`` and
-makes one ratio call per block, against a single reference corner (one
-more for the points whose reference corner has zero mass). A point costs
-O(D 2^D); corner enumeration is capped at D = 12.
+makes one ratio call per block, against the cell's first corner inside
+the space (one more for the points whose reference corner has zero
+mass). A point costs O(D 2^D); corner enumeration is capped at D = 12.
 """
 
 from __future__ import annotations
@@ -96,8 +96,12 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _corner_masses(corners: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
-    """Corner masses (2^D, M), relative to one positive-mass corner per point."""
-    rel = np.asarray(ratio_fn(corners, corners[0]), dtype=np.float64)
+    """Corner masses (2^D, M), relative to one positive-mass corner per point.
+
+    The reference is the cell's first corner inside the space, lifting the
+    -1 coordinates of a point in (-1, 0) to 0.
+    """
+    rel = np.asarray(ratio_fn(corners, corners[0] + (corners[0] < 0)), dtype=np.float64)
     over_zero = np.isinf(rel)
     if over_zero.any():
         # the reference corner has zero mass: re-reference to the first

@@ -1,10 +1,12 @@
-"""Exact tabular distributions and the oracle score operations.
+"""Exact tabular distributions, density reconstruction and divergences.
 
 Everything here enumerates: probabilities are dense arrays over the flat
 state order of a :class:`~csm.graphs.DiscreteSpace`. The score of a
 distribution at a state is the vector of relative neighbor differences
 (p(x_n) - p(x)) / p(x); on a weakly connected structure that score
 determines the distribution, and :func:`reconstruct_density` inverts it.
+The exact score of a table is that of the logit table with logits log p,
+:meth:`csm.models.LogitTableModel.from_distribution`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ class TabularDistribution:
 
     ``mass[i]`` is the probability of the state with flat index i. Masses
     must be nonnegative and sum to 1 within 1e-12 (pass ``normalize=True``
-    to rescale). ``strictly_positive`` guards the ratio-based operations.
+    to rescale). ``strictly_positive`` guards the log-mass oracle.
     """
 
     def __init__(self, space: DiscreteSpace, mass: np.ndarray, normalize: bool = False):
@@ -52,9 +54,6 @@ class TabularDistribution:
     @property
     def strictly_positive(self) -> bool:
         return bool(self.mass.min() > 0)
-
-    def probs_of(self, states: np.ndarray) -> np.ndarray:
-        return self.mass[self.space.indices_of(states)]
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(self.space.total_states, size=n, p=self.mass)
@@ -106,38 +105,6 @@ class TabularDistribution:
                 state = space.validate_state([int(v) for v in parts[:-1]])
                 mass[space.index_of(state)] = float(parts[-1])
         return cls(space, mass)
-
-
-def concrete_score_exact(
-    p: TabularDistribution, structure: NeighborhoodStructure, x: Sequence[int]
-) -> np.ndarray:
-    """Score vector of ``p`` at ``x``: entry i is p(x_ni)/p(x) - 1."""
-    x = p.space.validate_state(x)
-    i = p.space.index_of(x)
-    px = p.mass[i]
-    if px <= 0:
-        raise ValueError(f"distribution has zero mass at {x}")
-    indptr, indices = structure.adjacency()
-    return p.mass[indices[indptr[i] : indptr[i + 1]]] / px - 1.0
-
-
-class TabularScoreModel:
-    """Score-model view of an exact distribution (the oracle c_p)."""
-
-    def __init__(self, dist: TabularDistribution):
-        if not dist.strictly_positive:
-            raise ValueError("score model needs a strictly positive distribution")
-        self.dist = dist
-        self.space = dist.space
-
-    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int]) -> np.ndarray:
-        return concrete_score_exact(self.dist, structure, x)
-
-    def score_entries(
-        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
-    ) -> np.ndarray:
-        dst = structure.neighbor_states_at(states, positions)
-        return self.dist.probs_of(dst) / self.dist.probs_of(states) - 1.0
 
 
 def _support_mask(

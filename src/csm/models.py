@@ -117,13 +117,22 @@ class LogitTableModel(DensityModel):
 
     kind = "logit_table"
 
-    def __init__(self, space: DiscreteSpace, seed: int = 0, init_scale: float = 0.0):
+    def __init__(self, space: DiscreteSpace, seed: int = 0):
         n = space.require_enumerable("logit table")
         self.space = space
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        init = init_scale * rng.standard_normal(n) if init_scale else np.zeros(n)
-        self.params = {"logits": ad.parameter(init)}
+        self.params = {"logits": ad.parameter(np.zeros(n))}
+
+    @classmethod
+    def from_distribution(cls, p) -> "LogitTableModel":
+        """The exact oracle of a :class:`~csm.exact.TabularDistribution`:
+        logits log p, so entry i of the score at x is p(N_i(x))/p(x) - 1."""
+        if not p.strictly_positive:
+            state = p.space.state_of(int(np.argmin(p.mass)))
+            raise ValueError(f"oracle needs a strictly positive distribution; zero mass at {state}")
+        model = cls(p.space)
+        model.logits.data = np.log(p.mass)
+        return model
 
     @property
     def logits(self) -> Tensor:
@@ -363,7 +372,11 @@ def _load_one(header: dict, raw: bytes, offset: int):
     expected = [(name, tuple(shape)) for name, shape in header["params"]]
     actual = [(name, p.data.shape) for name, p in model.params.items()]
     if expected != actual:
-        raise CheckpointError(f"checkpoint parameter layout {expected} != model layout {actual}")
+        lacks = sorted(set(model.config()) - set(header["config"]))
+        raise CheckpointError(
+            f"checkpoint parameter layout {expected} != model layout {actual}"
+            + (f"; its config lacks {lacks}, which took constructor defaults" if lacks else "")
+        )
     for name, p in model.params.items():
         count = p.data.size
         if offset + count * 8 > len(raw):

@@ -110,14 +110,11 @@ def _entries_t(model, structure, src: np.ndarray, positions) -> Tensor:
         if hasattr(model, "score_entries_flat_t"):
             return model.score_entries_flat_t(structure, src, positions)
         src = structure.space.states_of(src)
-    if hasattr(model, "score_entries_t"):
-        return model.score_entries_t(structure, src, positions)
-    # oracle models without parameters enter the tape as constants
-    return Tensor(model.score_entries(structure, src, positions))
+    return model.score_entries_t(structure, src, positions)
 
 
 def _finalize(model, loss: Tensor, meta: dict) -> ObjectiveValue:
-    params = getattr(model, "params", {})
+    params = model.params
     for p in params.values():
         p.grad = None
     loss.backward()

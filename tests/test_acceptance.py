@@ -15,7 +15,7 @@ from csm import objectives as obj
 from csm.autodiff import gradient_check
 from csm.data import gen_1d_toy, gen_2d_toy
 from csm.denoise import make_ratio_fn, denoise_sample, perturb, recover_stein_score, tabular_stein_field
-from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv
+from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace, build_reverse_index, build_structure
 from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel, fit
 from csm.samplers import langevin, run_chain
@@ -110,11 +110,12 @@ class TestAcceptance:
         pairwise = np.ones((16, 16))
         for d in range(space.ndim):
             pairwise *= kernel.row(d)[np.ix_(states[:, d], states[:, d])]
-        perturbed = TabularDistribution(space, pairwise.T @ p.mass, normalize=True)
+        perturbed = LogitTableModel.from_distribution(
+            TabularDistribution(space, pairwise.T @ p.mass, normalize=True)
+        )
         worst = max(
             np.abs(
-                model.score_vector(structure, (i,))
-                - concrete_score_exact(perturbed, structure, (i,))
+                model.score_vector(structure, (i,)) - perturbed.score_vector(structure, (i,))
             ).max()
             for i in range(16)
         )

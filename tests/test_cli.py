@@ -10,6 +10,15 @@ from csm.models import load_checkpoint, save_checkpoint, LogitTableModel, Masked
 from csm.graphs import DiscreteSpace
 
 
+def _logit_table(dims, seed, scale):
+    """A logit table holding ``scale`` times standard-normal logits drawn from ``seed``."""
+    model = LogitTableModel(DiscreteSpace(dims), seed=seed)
+    model.params["logits"].data = scale * np.random.default_rng(seed).standard_normal(
+        model.space.total_states
+    )
+    return model
+
+
 class TestConfig:
     def test_parse_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -100,7 +109,7 @@ class TestTrainCommand:
 class TestSampleCommand:
     def test_sample_writes_csv_and_pgm(self, tmp_path):
         ckpt = tmp_path / "model.bin"
-        model = LogitTableModel(DiscreteSpace((5, 5)), seed=0, init_scale=0.5)
+        model = _logit_table((5, 5), 0, 0.5)
         save_checkpoint(ckpt, model)
         out = tmp_path / "samples"
         args = [
@@ -126,7 +135,7 @@ class TestSampleCommand:
 
     def test_fixed_seed_identical_outputs(self, tmp_path):
         ckpt = tmp_path / "model.bin"
-        save_checkpoint(ckpt, LogitTableModel(DiscreteSpace((8,)), seed=1, init_scale=1.0))
+        save_checkpoint(ckpt, _logit_table((8,), 1, 1.0))
         outs = []
         for name in ("r1", "r2"):
             out = tmp_path / name
@@ -139,7 +148,7 @@ class TestSampleCommand:
         assert outs[0] == outs[1]
 
     def test_annealed_bundle_dispatch(self, tmp_path):
-        models = [LogitTableModel(DiscreteSpace((6,)), seed=s, init_scale=0.3) for s in (0, 1)]
+        models = [_logit_table((6,), s, 0.3) for s in (0, 1)]
         ckpt = tmp_path / "bundle.bin"
         save_checkpoint(ckpt, models)
         out = tmp_path / "ann"

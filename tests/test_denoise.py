@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csm import denoise
 from csm.denoise import (
     denoise_sample,
     make_ratio_fn,
@@ -13,8 +14,9 @@ from csm.denoise import (
     tabular_stein_field,
     triangular_pdf,
 )
-from csm.exact import TabularDistribution, TabularScoreModel, reconstruct_density
+from csm.exact import TabularDistribution, reconstruct_density
 from csm.graphs import DiscreteSpace, build_structure
+from csm.models import LogitTableModel
 
 
 def _convolved(p: TabularDistribution):
@@ -228,7 +230,7 @@ class TestRatioFromScores:
         rng = np.random.default_rng(12)
         p = TabularDistribution.random_positive(DiscreteSpace((10,)), rng)
         cycle = build_structure("cycle", p.space)
-        model = TabularScoreModel(p)
+        model = LogitTableModel.from_distribution(p)
         ratio = make_ratio_fn(
             reconstruct_density(lambda s: model.score_vector(cycle, s), cycle)
         )
@@ -431,7 +433,47 @@ class TestDifferential:
             np.testing.assert_allclose(score[m], recover_stein_score(x, ratio), rtol=1e-14, atol=1e-14)
 
 
+def _corner_masses_from_corner_zero(corners, ratio_fn):
+    """Tests-only copy of the earlier reference rule: every point starts from
+    corner 0 of its cell, and the points where that corner has no mass (or
+    lies outside the space) are re-referenced to their first positive-mass
+    corner with a second ratio call."""
+    rel = np.asarray(ratio_fn(corners, corners[0]), dtype=np.float64)
+    over_zero = np.isinf(rel)
+    if over_zero.any():
+        cols = np.flatnonzero(over_zero.any(axis=0))
+        ref = corners[over_zero[:, cols].argmax(axis=0), cols]
+        rel = rel.copy()
+        rel[:, cols] = ratio_fn(corners[:, cols], ref)
+    return rel
+
+
 class TestEdgeContracts:
+    def test_langevin_box_block_takes_one_ratio_call(self, monkeypatch):
+        """Points in (-1, 2)^12 over bits have cells reaching below 0. Referencing
+        the first corner inside the space takes one ratio call where corner 0
+        took two, with bit-identical posterior weights and Stein scores."""
+        rng = np.random.default_rng(17)
+        table = make_ratio_fn(TabularDistribution.random_positive(DiscreteSpace((2,) * 12), rng))
+        x = rng.uniform(-1.0, 2.0, size=(8, 12))
+        calls = []
+
+        def ratio(y, ref):
+            calls.append(np.broadcast_shapes(np.shape(y)[:-1], np.shape(ref)[:-1]))
+            return table(y, ref)
+
+        def run(rule):
+            monkeypatch.setattr(denoise, "_corner_masses", rule)
+            calls.clear()
+            return posterior_weights(x, ratio)[1], recover_stein_score(x, ratio), list(calls)
+
+        w, score, new_calls = run(denoise._corner_masses)
+        ref_w, ref_score, old_calls = run(_corner_masses_from_corner_zero)
+        assert new_calls == [(4096, 8)] * 2  # one call per function
+        assert old_calls == [(4096, 8)] * 4
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(score, ref_score)
+
     def test_block_ratio_conventions(self):
         mass = np.array([0.0, 0.25, 0.75, 0.0])
         ratio = make_ratio_fn(TabularDistribution(DiscreteSpace((4,)), mass))

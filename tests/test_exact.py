@@ -5,13 +5,13 @@ import pytest
 
 from csm.exact import (
     TabularDistribution,
-    concrete_score_exact,
     kl_and_tv,
     max_cycle_residual,
     reconstruct_density,
     scaled_score_limit,
 )
 from csm.graphs import DiscreteSpace, build_structure
+from csm.models import LogitTableModel
 
 
 class TestTabularDistribution:
@@ -38,47 +38,74 @@ class TestTabularDistribution:
         np.testing.assert_array_equal(loaded.mass, dist.mass)
 
 
+def _oracle_fn(p, structure):
+    """The exact score of ``p`` as a per-state score function."""
+    oracle = LogitTableModel.from_distribution(p)
+    return lambda s: oracle.score_vector(structure, s)
+
+
+ORACLE_STRUCTURES = [
+    ("chain", (24,), "drop"), ("cycle", (24,), "drop"), ("star", (16,), "drop"),
+    ("grid", (5, 4), "drop"), ("grid", (5, 4), "wrap"), ("complete", (12,), "drop"),
+]
+
+
 class TestConcreteScore:
+    """The exact score of a table: the logit table with logits log p."""
+
     def test_uniform_scores_are_zero(self):
         space = DiscreteSpace((5,))
         p = TabularDistribution.uniform(space)
         for kind in ("cycle", "complete", "chain"):
             structure = build_structure(kind, space)
             for i in range(5):
-                np.testing.assert_allclose(
-                    concrete_score_exact(p, structure, (i,)), 0.0, atol=1e-15
-                )
+                np.testing.assert_allclose(_oracle_fn(p, structure)((i,)), 0.0, atol=1e-15)
 
     def test_two_state_example(self):
         space = DiscreteSpace((2,))
         p = TabularDistribution(space, np.array([0.25, 0.75]))
-        comp = build_structure("complete", space)
-        np.testing.assert_allclose(concrete_score_exact(p, comp, (0,)), [2.0])
-        np.testing.assert_allclose(concrete_score_exact(p, comp, (1,)), [-2.0 / 3.0])
+        score = _oracle_fn(p, build_structure("complete", space))
+        np.testing.assert_allclose(score((0,)), [2.0])
+        np.testing.assert_allclose(score((1,)), [-2.0 / 3.0])
 
     def test_star_example(self):
         space = DiscreteSpace((6,))
         p = TabularDistribution(space, np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
-        star = build_structure("star", space)
+        score = _oracle_fn(p, build_structure("star", space))
         for i in range(1, 6):
-            np.testing.assert_allclose(concrete_score_exact(p, star, (i,)), [4.0])
-        assert concrete_score_exact(p, star, (0,)).size == 0
+            np.testing.assert_allclose(score((i,)), [4.0])
+        assert score((0,)).size == 0
 
     def test_zero_mass_state_rejected(self):
-        space = DiscreteSpace((2,))
-        p = TabularDistribution(space, np.array([0.0, 1.0]))
-        comp = build_structure("complete", space)
-        with pytest.raises(ValueError):
-            concrete_score_exact(p, comp, (0,))
-
+        p = TabularDistribution(DiscreteSpace((3,)), np.array([0.5, 0.0, 0.5]))
+        with pytest.raises(ValueError, match=r"strictly positive distribution; zero mass at \(1,\)"):
+            LogitTableModel.from_distribution(p)
 
     def test_out_of_range_state_rejected(self):
         space = DiscreteSpace((3,))
-        p = TabularDistribution.uniform(space)
-        chain = build_structure("chain", space)
+        score = _oracle_fn(TabularDistribution.uniform(space), build_structure("chain", space))
         for bad in [(3,), (-1,), (0, 0)]:
             with pytest.raises(ValueError, match="invalid"):
-                concrete_score_exact(p, chain, bad)
+                score(bad)
+
+    @pytest.mark.parametrize("kind,dims,boundary", ORACLE_STRUCTURES)
+    def test_entries_on_every_edge_match_mass_ratios(self, kind, dims, boundary):
+        """Every CSR edge reads p(dst) / p(src) - 1. The tolerance is on the
+        ratio c + 1: subtracting 1 cancels digits when the ratio is near 1."""
+        structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        p = TabularDistribution.random_positive(structure.space, np.random.default_rng(21))
+        src, pos, dst = structure.edges()
+        c = LogitTableModel.from_distribution(p).score_entries(
+            structure, structure.space.states_of(src), pos
+        )
+        np.testing.assert_allclose(c + 1.0, p.mass[dst] / p.mass[src], rtol=1e-13)
+
+    def test_distribution_round_trip(self):
+        rng = np.random.default_rng(22)
+        for dims in ((24,), (16,), (5, 4), (12,)):
+            p = TabularDistribution.random_positive(DiscreteSpace(dims), rng)
+            q = LogitTableModel.from_distribution(p).distribution()
+            np.testing.assert_allclose(q.mass, p.mass, rtol=0, atol=1e-15)
 
 
 class TestReconstruction:
@@ -86,7 +113,7 @@ class TestReconstruction:
         space = DiscreteSpace((2,))
         p = TabularDistribution(space, np.array([0.25, 0.75]))
         comp = build_structure("complete", space)
-        recon = reconstruct_density(lambda s: concrete_score_exact(p, comp, s), comp)
+        recon = reconstruct_density(_oracle_fn(p, comp), comp)
         assert np.abs(recon.mass - p.mass).max() < 1e-12
 
     def test_zero_scores_give_uniform(self):
@@ -111,9 +138,7 @@ class TestReconstruction:
         structure = build_structure(kind, DiscreteSpace(dims))
         for _ in range(10):
             p = TabularDistribution.random_positive(structure.space, rng)
-            recon = reconstruct_density(
-                lambda s: concrete_score_exact(p, structure, s), structure
-            )
+            recon = reconstruct_density(_oracle_fn(p, structure), structure)
             assert np.abs(recon.mass - p.mass).max() < 1e-10
 
     def test_root_independence(self):
@@ -121,7 +146,7 @@ class TestReconstruction:
         rng = np.random.default_rng(3)
         structure = build_structure("grid", DiscreteSpace((6, 6)))
         p = TabularDistribution.random_positive(structure.space, rng)
-        fn = lambda s: concrete_score_exact(p, structure, s)
+        fn = _oracle_fn(p, structure)
         a = reconstruct_density(fn, structure, root=(0, 0))
         b = reconstruct_density(fn, structure, root=(5, 3))
         assert np.abs(a.mass - b.mass).max() < 1e-10
@@ -131,9 +156,9 @@ class TestReconstruction:
         comp = build_structure("complete", space)
         rng = np.random.default_rng(5)
         p = TabularDistribution.random_positive(space, rng)
-        consistent = lambda s: concrete_score_exact(p, comp, s)
+        consistent = _oracle_fn(p, comp)
         assert max_cycle_residual(consistent, comp) < 1e-10
-        noisy = lambda s: concrete_score_exact(p, comp, s) + 0.05 * rng.standard_normal(5)
+        noisy = lambda s: consistent(s) + 0.05 * rng.standard_normal(5)
         assert max_cycle_residual(noisy, comp) > 1e-3
         # a one-pass iterable support is read once
         support = ((i,) for i in range(4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csm import autodiff as ad
-from csm.exact import TabularDistribution, concrete_score_exact
+from csm.exact import TabularDistribution
 from csm.graphs import DiscreteSpace, build_structure
 from csm.models import (
     _MODEL_KINDS,
@@ -21,6 +21,15 @@ from csm.models import (
 from csm.objectives import jcsm_exact, nll_loss
 
 
+def _logit_table(dims, seed, scale):
+    """A logit table holding ``scale`` times standard-normal logits drawn from ``seed``."""
+    model = LogitTableModel(DiscreteSpace(dims), seed=seed)
+    model.params["logits"].data = scale * np.random.default_rng(seed).standard_normal(
+        model.space.total_states
+    )
+    return model
+
+
 class TestLogitTable:
     def test_uniform_log_mass(self):
         model = LogitTableModel(DiscreteSpace((16,)))
@@ -29,7 +38,7 @@ class TestLogitTable:
         assert log_mass[1] == pytest.approx(-2.7726, abs=1e-4)
 
     def test_normalization_sums_to_one(self):
-        model = LogitTableModel(DiscreteSpace((4, 5)), seed=1, init_scale=1.0)
+        model = _logit_table((4, 5), 1, 1.0)
         states = model.space.all_states()
         total = np.exp(model.log_mass_t(states).data).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -47,18 +56,18 @@ class TestLogitTable:
         np.testing.assert_allclose(model.score_vector(comp, (0,)), [2.0])
 
     def test_implied_score_matches_exact(self):
-        """Implied and tabulated scores agree for the same distribution."""
+        """Implied scores are the mass ratios of the model's distribution, minus 1."""
         rng = np.random.default_rng(7)
         space = DiscreteSpace((4, 4))
         model = LogitTableModel(space)
         model.params["logits"].data = rng.standard_normal(16)
         p = model.distribution()
         grid = build_structure("grid", space)
+        indptr, indices = grid.adjacency()
         for idx in range(16):
-            x = space.state_of(idx)
             np.testing.assert_allclose(
-                model.score_vector(grid, x),
-                concrete_score_exact(p, grid, x),
+                model.score_vector(grid, space.state_of(idx)),
+                p.mass[indices[indptr[idx] : indptr[idx + 1]]] / p.mass[idx] - 1.0,
                 atol=1e-12,
             )
 
@@ -277,8 +286,7 @@ class TestFit:
 
 class TestCheckpoints:
     def test_logit_table_round_trip(self, tmp_path):
-        space = DiscreteSpace((5, 3))
-        model = LogitTableModel(space, seed=4, init_scale=0.3)
+        model = _logit_table((5, 3), 4, 0.3)
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, model)
         loaded = load_checkpoint(path)
@@ -329,7 +337,7 @@ def rewrite_header(path, edit):
 
 
 KIND_EXAMPLES = {
-    "logit_table": lambda: LogitTableModel(DiscreteSpace((3, 4)), seed=3, init_scale=0.5),
+    "logit_table": lambda: _logit_table((3, 4), 3, 0.5),
     "score_net": lambda: ScoreNetModel(DiscreteSpace((3, 4)), degree=4, hidden=(5,), seed=1,
                                        one_hot=True),
     "masked_ar": lambda: MaskedARModel(4, hidden=(6, 3), seed=2),
@@ -379,6 +387,13 @@ class TestCheckpointErrors:
         save_checkpoint(path, ScoreNetModel(DiscreteSpace((16,)), degree=1, hidden=(4,)))
         rewrite_header(path, lambda h: h["config"].pop("degree"))
         with pytest.raises(CheckpointError, match="missing .*'degree'"):
+            load_checkpoint(path)
+
+    def test_config_missing_defaulted_key_is_named(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, MaskedARModel(3, hidden=(4,), seed=0))
+        rewrite_header(path, lambda h: h["config"].pop("hidden"))
+        with pytest.raises(CheckpointError, match=r"config lacks \['hidden'\]"):
             load_checkpoint(path)
 
     def test_config_unexpected_key(self, tmp_path):

@@ -8,24 +8,24 @@ import pytest
 from csm import autodiff as ad
 from csm import objectives as obj
 from csm.autodiff import Tensor, gradient_check
-from csm.exact import TabularDistribution, concrete_score_exact, kl_and_tv
+from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace, build_reverse_index, build_structure
-from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel, fit
+from csm.models import LogitTableModel, MaskedARModel, ScoreModel, ScoreNetModel, fit
 
 
-class _FixedScore:
-    """Stub score model returning preset entries (no parameters)."""
+class _FixedScore(ScoreModel):
+    """Stub score model returning preset entries as tape constants (no parameters)."""
+
+    params = {}
 
     def __init__(self, table):
         self.table = table  # state tuple -> vector
 
-    def score_entries(self, structure, states, positions):
-        return np.array(
-            [self.table[tuple(s)][p] for s, p in zip(np.asarray(states), positions)]
-        )
-
-    def score_vector(self, structure, x):
-        return np.asarray(self.table[tuple(x)], dtype=np.float64)
+    def score_entries_t(self, structure, states, positions):
+        return Tensor(np.array(
+            [self.table[tuple(s)][p] for s, p in zip(np.asarray(states), positions)],
+            dtype=np.float64,
+        ))
 
 
 class TestExactLosses:
@@ -34,11 +34,8 @@ class TestExactLosses:
         space = DiscreteSpace((8,))
         p = TabularDistribution.random_positive(space, rng)
         cycle = build_structure("cycle", space)
-        table = {
-            space.state_of(i): concrete_score_exact(p, cycle, space.state_of(i))
-            for i in range(8)
-        }
-        assert obj.csm_loss_exact(_FixedScore(table), p, cycle).value == pytest.approx(0.0, abs=1e-18)
+        oracle = LogitTableModel.from_distribution(p)
+        assert obj.csm_loss_exact(oracle, p, cycle).value == pytest.approx(0.0, abs=1e-18)
 
     def test_zero_model_hand_value(self):
         """0.25 * 2^2 + 0.75 * (2/3)^2 = 4/3 for the two-state example."""
@@ -457,13 +454,13 @@ class TestDCSM:
         rng = np.random.default_rng(0)
         batch = rng.integers(0, 6, size=(40, 1))
 
-        class KernelScore:
-            def __init__(self):
-                self.clean = None
+        class KernelScore(ScoreModel):
+            params = {}
+            clean = None
 
-            def score_entries(self, structure, states, positions):
+            def score_entries_t(self, structure, states, positions):
                 dst = structure.neighbor_states_at(states, positions)
-                return kernel.score_targets(self.clean, states, dst)
+                return Tensor(kernel.score_targets(self.clean, states, dst))
 
         model = KernelScore()
         # mirror the objective's internal corruption draw
@@ -487,12 +484,12 @@ class TestDCSM:
         for lr, iters in ((0.1, 1500), (0.01, 1500)):
             fit(model, objective, p.sample(4, rng), iterations=iters, batch_size=1, lr=lr, seed=0)
         q = kernel.row(0)
-        perturbed = TabularDistribution(space, q.T @ p.mass, normalize=True)
+        perturbed = LogitTableModel.from_distribution(
+            TabularDistribution(space, q.T @ p.mass, normalize=True)
+        )
         for i in range(2):
             np.testing.assert_allclose(
-                model.score_vector(comp, (i,)),
-                concrete_score_exact(perturbed, comp, (i,)),
-                atol=1e-3,
+                model.score_vector(comp, (i,)), perturbed.score_vector(comp, (i,)), atol=1e-3
             )
 
     def test_mc_dcsm_runs_and_is_finite(self):

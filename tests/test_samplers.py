@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from csm.exact import TabularDistribution, TabularScoreModel, kl_and_tv
+from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace, EnumerationCapExceeded, build_structure
 from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel
 from csm.samplers import NaNRatioError, langevin, run_annealed, run_chain
@@ -175,7 +175,7 @@ class TestRunChain:
         space = DiscreteSpace((9,))
         rng = np.random.default_rng(11)
         p = TabularDistribution.random_positive(space, rng)
-        oracle = TabularScoreModel(p)
+        oracle = LogitTableModel.from_distribution(p)
         samples, _ = run_chain(oracle, build_structure("cycle", space), (0,), 80_000,
                                burn_in=8_000, seed=12)
         empirical = TabularDistribution.from_samples(space, samples)
