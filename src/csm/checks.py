@@ -81,19 +81,12 @@ def equivalence_suite(seed: int = 0, tol: float = 1e-8) -> list[CheckResult]:
     return [CheckResult("objective_equivalence", worst < tol, worst, tol, "10 instances x 10 pairs")]
 
 
-def _edge_table(model, structure):
-    """All directed edges with per-edge scores and affected dimension."""
-    space = structure.space
-    src, pos, dst = structure.edges()
-    scores = model.score_entries(structure, space.states_of(src), pos)
-    return src, pos, dst, scores
-
-
 def _enumerated_j_stats(model, p, structure):
     """Exact means and per-draw variances of the three estimators."""
     space = structure.space
     n = space.total_states
-    src, pos, dst, c = _edge_table(model, structure)
+    src, _, dst = structure.edges()
+    c = model.score_vector(structure, space.all_states())
     degs = np.bincount(src, minlength=n)
     g1 = degs[src] * (c**2 + 2.0 * c)
     j1 = float((p.mass[src] * (c**2 + 2.0 * c)).sum())
@@ -127,7 +120,8 @@ def _enumerated_mc_var(model, p, structure) -> float:
     """Exact per-draw variance of :func:`objectives.csm_mc_loss`, whose
     per-state value sums J1 over out-edges and J2 over in-edges."""
     n = structure.space.total_states
-    src, _, dst, c = _edge_table(model, structure)
+    src, _, dst = structure.edges()
+    c = model.score_vector(structure, structure.space.all_states())
     g = np.bincount(src, c**2 + 2.0 * c, minlength=n) - np.bincount(dst, 2.0 * c, minlength=n)
     return float((p.mass * g**2).sum()) - float((p.mass * g).sum()) ** 2
 

@@ -200,15 +200,7 @@ class NeighborhoodStructure:
         degs[list(rows)] = [len(flat) for flat in rows.values()]
         return _indptr(degs), np.array([j for i in sorted(rows) for j in rows[i]], dtype=np.int64)
 
-    # -- single-state queries -------------------------------------------------
-
-    def degree(self, x: Sequence[int]) -> int:
-        x = self.space.validate_state(x)
-        if self.space.enumerable:
-            indptr, _ = self.adjacency()
-            i = self.space.index_of(x)
-            return int(indptr[i + 1] - indptr[i])
-        return int(self.grid_dim_degrees(np.asarray([x])).sum())
+    # -- degrees and neighbors ------------------------------------------------
 
     def uniform_degree(self) -> int | None:
         """Common neighbor count when every state has the same degree, else None."""
@@ -220,8 +212,6 @@ class NeighborhoodStructure:
             return None
         degs = np.diff(self.adjacency()[0])
         return int(degs[0]) if np.all(degs == degs[0]) else None
-
-    # -- batched queries ------------------------------------------------------
 
     def degrees_of(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import DiscreteSpace, NeighborhoodStructure
+from .graphs import DiscreteSpace, NeighborhoodStructure, _indptr, csr_rows
 
 
 def _mlp_params(widths: Sequence[int], rng: np.random.Generator) -> dict[str, Tensor]:
@@ -65,11 +65,17 @@ class ScoreModel:
     def score_entries(self, structure, states, positions) -> np.ndarray:
         return self.score_entries_t(structure, states, positions).data
 
-    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int]) -> np.ndarray:
-        state = self.space.validate_state(x)
-        deg = structure.degree(state)
-        batch = np.tile(np.asarray(state, dtype=np.int64), (deg, 1))
-        return self.score_entries(structure, batch, np.arange(deg))
+    def score_vector(self, structure: NeighborhoodStructure, x: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Score vectors of a state (D,) or a block of states (m, D), concatenated
+        row after row: the CSR data of the score over those rows. A row outside
+        the space raises the ``ValueError`` that names it."""
+        space = structure.space
+        states = np.atleast_2d(np.asarray(x, dtype=np.int64))
+        if states.shape[1] != space.ndim or not ((states >= 0) & (states < space.dims)).all():
+            for state in states.tolist():
+                space.validate_state(state)
+        row, pos = csr_rows(_indptr(structure.degrees_of(states)))
+        return self.score_entries(structure, states[row], pos)
 
 
 class DensityModel(ScoreModel):

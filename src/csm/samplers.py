@@ -7,10 +7,11 @@ Metropolis-Hastings walks the undirected view of the neighborhood graph.
   the whole space; the edge ratios along any path telescope, so every
   ratio is q(there) / q(here) = exp(log q(there) - log q(here));
 - any other model fills a table with one ratio per undirected-view
-  entry, from the score entry of whichever directed edge exists
-  (inverted when the edge points backwards). Ratios below zero (entries
-  under -1) are clamped to zero and counted; a path multiplies the
-  ratios of its unit steps, and a zero blocks it even next to an inf.
+  entry from one ``score_vector`` read over the whole space: the score
+  entry of whichever directed edge exists, inverted when the edge points
+  backwards. Ratios below zero (entries under -1) are clamped to zero and
+  counted; a path multiplies the ratios of its unit steps, and a zero
+  blocks it even next to an inf.
 
 On chain, cycle and grid structures the chain proposes straight-line
 paths: it picks a line (a grid dimension and a sign, or a sign in flat
@@ -77,20 +78,15 @@ def _log_mass_ratio(score_model, structure):
 
 
 def _edge_ratio_table(score_model, structure) -> np.ndarray:
-    """Density ratio for every undirected-view entry, from the score entries."""
-    space = structure.space
+    """Density ratio for every undirected-view entry, from one block read of the
+    score over the space: a forward entry reads its source's score vector, a
+    reverse entry its target's, inverted."""
     indptr, dst, pos, fwd = structure.undirected_view()
-    src, _ = csr_rows(indptr)
-    ratios = np.empty(src.size)
-    if fwd.any():
-        states = space.states_of(src[fwd])
-        ratios[fwd] = score_model.score_entries(structure, states, pos[fwd]) + 1.0
-    rev = ~fwd
-    if rev.any():
-        states = space.states_of(dst[rev])
-        back = score_model.score_entries(structure, states, pos[rev]) + 1.0
-        with np.errstate(divide="ignore"):
-            ratios[rev] = np.where(back == 0, np.inf, 1.0 / back)
+    owner = np.where(fwd, csr_rows(indptr)[0], dst)
+    c = score_model.score_vector(structure, structure.space.all_states())
+    ratios = c[structure.adjacency()[0][owner] + pos] + 1.0
+    with np.errstate(divide="ignore"):
+        ratios[~fwd] = np.where(ratios[~fwd] == 0, np.inf, 1.0 / ratios[~fwd])
     _check_nan(structure, ratios)
     return ratios
 
@@ -204,7 +200,7 @@ def run_chain(
     other kinds the single-step undirected proposal (see the module
     docstring). A density model costs one ``log_mass_unnorm`` pass over
     the space per call and O(1) per step; any other model costs one
-    ``score_entries`` pass over the undirected view per call, and a path
+    ``score_vector`` read over the space per call, and a path
     costs time proportional to its length. Negative ratios (score entries
     under -1) are clamped to zero and counted in ``clamped``; a NaN ratio
     anywhere raises :class:`NaNRatioError` before the first step.

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from csm.exact import (
+    SCORE_BLOCK,
+    SCORE_CLAMP,
     TabularDistribution,
     kl_and_tv,
     max_cycle_residual,
@@ -11,7 +13,7 @@ from csm.exact import (
     scaled_score_limit,
 )
 from csm.graphs import DiscreteSpace, build_structure
-from csm.models import LogitTableModel
+from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel
 
 
 class TestTabularDistribution:
@@ -119,7 +121,7 @@ class TestReconstruction:
     def test_zero_scores_give_uniform(self):
         space = DiscreteSpace((7,))
         cycle = build_structure("cycle", space)
-        recon = reconstruct_density(lambda s: np.zeros(1), cycle)
+        recon = reconstruct_density(lambda s: np.zeros(len(s)), cycle)
         np.testing.assert_allclose(recon.mass, 1.0 / 7.0, atol=1e-14)
 
     def test_disconnected_support_raises(self):
@@ -158,7 +160,7 @@ class TestReconstruction:
         p = TabularDistribution.random_positive(space, rng)
         consistent = _oracle_fn(p, comp)
         assert max_cycle_residual(consistent, comp) < 1e-10
-        noisy = lambda s: consistent(s) + 0.05 * rng.standard_normal(5)
+        noisy = lambda s: consistent(s) + 0.05 * rng.standard_normal(5 * len(s))
         assert max_cycle_residual(noisy, comp) > 1e-3
         # a one-pass iterable support is read once
         support = ((i,) for i in range(4))
@@ -166,15 +168,125 @@ class TestReconstruction:
 
     def test_score_length_must_match_degree(self):
         grid = build_structure("grid", DiscreteSpace((3, 3)))
+        # both read the 6 tree owners (17 neighbors) in one block first
+        match = r"the 6 states from \(0, 0\) on, which have 17 neighbors"
         for length in (1, 5):
             for op in (reconstruct_density, max_cycle_residual):
-                with pytest.raises(ValueError, match=r"state \(0, 0\), which has 2 neighbors"):
-                    op(lambda s: np.zeros(length), grid)
+                with pytest.raises(ValueError, match=match):
+                    op(lambda s: np.zeros(length * len(s)), grid)
         # the star's tree edges never read the hub's scores; the residual does
         star = build_structure("star", DiscreteSpace((4,)))
-        reconstruct_density(lambda s: np.zeros(1), star)
-        with pytest.raises(ValueError, match=r"state \(0,\), which has 0 neighbors"):
-            max_cycle_residual(lambda s: np.zeros(1), star)
+        reconstruct_density(lambda s: np.zeros(len(s)), star)
+        with pytest.raises(ValueError, match=r"the 4 states from \(0,\) on, which have 3 neighbors"):
+            max_cycle_residual(lambda s: np.zeros(len(s)), star)
+
+
+def _reference_reconstruct(score_fn, structure, support=None, root=None):
+    """Tests-only copy of the per-state reconstruction: a Python BFS over the
+    undirected view that calls ``score_fn`` on one state at each tree owner,
+    caches its vector, and adds log1p steps as it walks. Returns the masses
+    and the number of clamped tree entries."""
+    space = structure.space
+    n = space.total_states
+    member = [support is None] * n
+    for s in support or ():
+        member[space.index_of(s)] = True
+    root_idx = member.index(True) if root is None else space.index_of(root)
+    scores = {}
+
+    def entry(i, k):
+        if i not in scores:
+            scores[i] = np.asarray(score_fn(space.state_of(i)), dtype=np.float64)
+        return float(scores[i][k])
+
+    indptr, dst, pos, fwd = (a.tolist() for a in structure.undirected_view())
+    seen = [not m for m in member]
+    seen[root_idx] = True
+    lm = np.full(n, -np.inf)
+    lm[root_idx] = 0.0
+    clamped, frontier = 0, [root_idx]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for k in range(indptr[u], indptr[u + 1]):
+                v = dst[k]
+                if seen[v]:
+                    continue
+                c = entry(u if fwd[k] else v, pos[k])
+                if c <= -1.0 + SCORE_CLAMP:
+                    clamped, c = clamped + 1, -1.0 + SCORE_CLAMP
+                lm[v] = lm[u] + np.log1p(c) if fwd[k] else lm[u] - np.log1p(c)
+                seen[v] = True
+                nxt.append(v)
+        frontier = nxt
+    mass = np.exp(lm - lm.max())
+    return mass / mass.sum(), clamped
+
+
+def _explicit_case():
+    """A random explicit graph on 12 states with a support of 8 and a root."""
+    rng = np.random.default_rng(31)
+    edges = {(u,): [(v,) for v in range(12) if v != u and rng.random() < 0.2] for u in range(12)}
+    edges[(10,)] = [(11,)]
+    for u in range(1, 9):  # a directed path keeps the support connected
+        if (u + 1,) not in edges[(u,)]:
+            edges[(u,)].append((u + 1,))
+    structure = build_structure("explicit", DiscreteSpace((12,)), explicit_edges=edges)
+    return structure, [(i,) for i in range(1, 10)], (5,)
+
+
+class TestReconstructionDifferential:
+    """The vectorised tree and block reads against the per-state Python BFS."""
+
+    @pytest.mark.parametrize("kind,dims,boundary", ORACLE_STRUCTURES + [("explicit", None, None)])
+    def test_logit_tables_bit_for_bit(self, kind, dims, boundary):
+        support = root = None
+        if kind == "explicit":
+            structure, support, root = _explicit_case()
+        else:
+            structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        model = LogitTableModel(structure.space)
+        model.logits.data = 2.0 * np.random.default_rng(32).standard_normal(structure.space.total_states)
+        fn = lambda s: model.score_vector(structure, s)
+        recon = reconstruct_density(fn, structure, support=support, root=root)
+        want, _ = _reference_reconstruct(fn, structure, support=support, root=root)
+        np.testing.assert_array_equal(recon.mass, want)
+
+    def test_clamped_score_net(self, caplog):
+        grid = build_structure("grid", DiscreteSpace((5, 4)), boundary="wrap")
+        net = ScoreNetModel(grid.space, degree=4, hidden=(16,), seed=3)
+        net.params["w1"].data *= 4.0  # pushes some entries below -1
+        fn = lambda s: net.score_vector(grid, s)
+        with caplog.at_level("WARNING", logger="csm.exact"):
+            recon = reconstruct_density(fn, grid, root=(2, 1))
+        want, clamped = _reference_reconstruct(fn, grid, root=(2, 1))
+        assert clamped > 0
+        assert caplog.messages == [f"reconstruct_density clamped {clamped} score entries at -1"]
+        np.testing.assert_allclose(recon.mass, want, rtol=0, atol=1e-15)
+
+    def test_masked_ar(self):
+        model = MaskedARModel(8, hidden=(16, 16), seed=4)
+        grid = build_structure("grid", model.space)
+        fn = lambda s: model.score_vector(grid, s)
+        want, _ = _reference_reconstruct(fn, grid)
+        np.testing.assert_allclose(reconstruct_density(fn, grid).mass, want, rtol=0, atol=1e-15)
+
+    def test_every_call_holds_at_most_a_block(self):
+        grid = build_structure("grid", DiscreteSpace((2,) * 12))
+        model = LogitTableModel(grid.space)
+        model.logits.data = np.random.default_rng(33).standard_normal(grid.space.total_states)
+        sizes = []
+
+        def fn(states):
+            c = model.score_vector(grid, states)
+            sizes.append(c.size)
+            return c
+
+        reconstruct_density(fn, grid)
+        assert len(sizes) > 1 and max(sizes) <= SCORE_BLOCK
+        sizes.clear()
+        max_cycle_residual(fn, grid)
+        assert max(sizes) <= SCORE_BLOCK
 
 
 class TestScaledScoreLimit:

@@ -85,6 +85,33 @@ class TestLogitTable:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+class TestScoreVector:
+    """``score_vector`` on a block is the CSR data of the score over its rows."""
+
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    def test_block_concatenates_rows(self, kind):
+        if kind == "logit_table":
+            model = _logit_table((4, 3), 5, 1.0)
+            structure = build_structure("grid", model.space)  # degrees 2 to 4
+        elif kind == "score_net":
+            model = ScoreNetModel(DiscreteSpace((4, 3)), degree=4, hidden=(8,), seed=5)
+            structure = build_structure("grid", model.space, boundary="wrap")
+        else:
+            model = MaskedARModel(5, hidden=(8,), seed=5)
+            structure = build_structure("grid", model.space)
+        states = model.space.all_states()[np.random.default_rng(5).integers(0, 12, size=7)]
+        want = np.concatenate([model.score_vector(structure, s) for s in states])
+        np.testing.assert_allclose(model.score_vector(structure, states), want, rtol=1e-14, atol=1e-15)
+
+    def test_out_of_range_row_named(self):
+        model = _logit_table((4, 3), 5, 1.0)
+        grid = build_structure("grid", model.space)
+        for block in ([[0, 0], [4, 0]], [[1, 2], [0, -1]], [[0, 0, 0]]):
+            bad = tuple(block[-1])
+            with pytest.raises(ValueError, match=rf"state \({bad[0]}, {bad[1]}.*\) invalid"):
+                model.score_vector(grid, np.array(block))
+
+
 class TestScoreNet:
     def test_output_width_matches_degree(self):
         space = DiscreteSpace((16,))

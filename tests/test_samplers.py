@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from csm.autodiff import Tensor
 from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace, EnumerationCapExceeded, build_structure
-from csm.models import LogitTableModel, MaskedARModel, ScoreNetModel
+from csm.models import LogitTableModel, MaskedARModel, ScoreModel, ScoreNetModel
 from csm.samplers import NaNRatioError, langevin, run_annealed, run_chain
 
 
@@ -64,9 +65,9 @@ class TestRunChain:
         space = DiscreteSpace((2,))
         comp = build_structure("complete", space)
 
-        class BadScore:
-            def score_entries(self, structure, states, positions):
-                return np.full(len(positions), -1.5)
+        class BadScore(ScoreModel):
+            def score_entries_t(self, structure, states, positions):
+                return Tensor(np.full(len(positions), -1.5))
 
         _, chain = run_chain(BadScore(), comp, (0,), 10, seed=3)
         # both undirected-view entries are clamped once, when the table is built
@@ -125,14 +126,14 @@ class TestRunChain:
         space = DiscreteSpace((8,))
         chain_structure = build_structure("chain", space)
 
-        class Blocked:
+        class Blocked(ScoreModel):
             # entry -1 on edge 2 -> 3 (its reverse ratio is inf), entry -2 on
             # edge 5 -> 6 (both directions clamp to 0): states 6, 7 are cut off
-            def score_entries(self, structure, states, positions):
+            def score_entries_t(self, structure, states, positions):
                 c = np.zeros(len(positions))
                 c[states[:, 0] == 2] = -1.0
                 c[states[:, 0] == 5] = -2.0
-                return c
+                return Tensor(c)
 
         samples, chain = run_chain(Blocked(), chain_structure, (7,), 20_000, seed=22)
         assert chain.clamped == 2
