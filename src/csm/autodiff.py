@@ -3,11 +3,13 @@
 A :class:`Tensor` records its parents and a vector-Jacobian closure as
 operations build up; ``backward()`` on a scalar output topologically
 sorts the tape and accumulates exact gradients into every reachable
-tensor's ``grad``: the first gradient to reach a tensor is stored as it
+tensor's ``grad``; ``backward(seed)`` starts from dL/d(tensor) for a loss
+L computed in numpy. The first gradient to reach a tensor is stored as it
 is, later ones are added out of place. Non-Tensor operands are treated
 as constants. The op set is deliberately small: elementwise arithmetic,
-exp, tanh and softplus nonlinearities, matmul, gathers, reductions and
-log-sum-exp, which is everything the models and objectives here need.
+exp, tanh and softplus nonlinearities, matmul, gathers, the ratio
+exp(a[hi] - a[lo]) - 1, reductions and log-sum-exp, which is everything
+the models and objectives here need.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def backward(self):
-        """Accumulate d(self)/d(ancestor) into every ancestor's ``grad``."""
-        if self.data.size != 1:
+    def backward(self, grad=None):
+        """Accumulate dL/d(ancestor) into every ancestor's ``grad``, seeded by
+        ``grad`` = dL/d(self); without a seed, L is self and must be a scalar."""
+        if grad is None and self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.data.shape:
+            raise ValueError(f"backward() seed has shape {grad.shape}, tensor has shape {self.data.shape}")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -53,7 +59,7 @@ class Tensor:
             for p in node._parents:
                 if p is not None and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        self.grad = grad
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:
                 continue
@@ -157,16 +163,23 @@ def _scatter_add(flat_idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarra
 
 
 def gather(a, indices) -> Tensor:
-    """Rows (or scalars, for 1-D inputs) of ``a`` at non-negative ``indices``."""
+    """Entries of a 1-D ``a`` at non-negative ``indices``."""
     ad = _data(a)
     idx = np.asarray(indices, dtype=np.int64)
+    return Tensor(ad[idx], (_maybe(a),), lambda g: (_scatter_add(idx, g, ad.shape),))
+
+
+def ratio_m1(a, hi, lo) -> Tensor:
+    """exp(a[hi[j]] - a[lo[j]]) - 1 for a 1-D ``a`` and index arrays: the score
+    entries of a log-mass vector as one node."""
+    ad = _data(a)
+    ratio = np.exp(ad[hi] - ad[lo])
 
     def vjp(g):
-        inner = int(np.prod(ad.shape[1:]))
-        flat = idx if inner == 1 else idx[..., None] * inner + np.arange(inner)
-        return (_scatter_add(flat, g, ad.shape),)
+        gr = g * ratio
+        return (np.bincount(hi, gr, ad.size) - np.bincount(lo, gr, ad.size),)
 
-    return Tensor(ad[idx], (_maybe(a),), vjp)
+    return Tensor(ratio - 1.0, (_maybe(a),), vjp)
 
 
 def take_pairs(a, rows, cols) -> Tensor:

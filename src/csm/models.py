@@ -5,9 +5,9 @@ c(x)_i = p(N(x)_i)/p(x) - 1 through one tape method, ``score_entries_t``,
 from which the base class derives ``score_entries`` and ``score_vector``.
 
 - density models expose an unnormalized log-mass and imply their score
-  through neighbor ratios exp(log q(x_n) - log q(x)) - 1: a logit table
-  over an enumerable space, and a masked autoregressive network over
-  binary dimensions;
+  through neighbor ratios exp(log q(x_n) - log q(x)) - 1, one tape node: a
+  logit table over an enumerable space, and a masked autoregressive
+  network over binary dimensions;
 - a feed-forward score network outputs the score vector directly and
   only works on fixed-degree structures.
 
@@ -56,10 +56,10 @@ class ScoreModel:
     params: dict[str, Tensor]
     seed: int
 
-    def score_entries_t(
-        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
-    ) -> Tensor:
-        """Differentiable score entries c(states[j])[positions[j]]."""
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
+        """Differentiable score entries c(states[j])[positions[j]], where
+        ``states`` holds states (m, D) or, on an enumerable space, flat
+        indices (m,)."""
         raise NotImplementedError
 
     def score_entries(self, structure, states, positions) -> np.ndarray:
@@ -91,13 +91,15 @@ class DensityModel(ScoreModel):
     def log_mass_unnorm(self, states: np.ndarray) -> np.ndarray:
         return self.log_mass_unnorm_t(np.asarray(states, dtype=np.int64)).data
 
-    def score_entries_t(
-        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
-    ) -> Tensor:
-        states = np.asarray(states, dtype=np.int64)
-        dst = structure.neighbor_states_at(states, positions)
-        delta = ad.sub(self.log_mass_unnorm_t(dst), self.log_mass_unnorm_t(states))
-        return ad.sub(ad.texp(delta), 1.0)
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
+        states = structure.space.as_states(states)
+        m, space = states.shape[0], structure.space
+        pair = np.concatenate([structure.neighbor_states_at(states, positions), states])
+        if space.total_states > 2**63:  # beyond int64 flat indices
+            return ad.ratio_m1(self.log_mass_unnorm_t(pair), np.arange(m), np.arange(m, 2 * m))
+        # one log-mass row per distinct state: sources and batch states repeat
+        _, first, inv = np.unique(space.indices_of(pair), return_index=True, return_inverse=True)
+        return ad.ratio_m1(self.log_mass_unnorm_t(pair[first]), inv[:m], inv[m:])
 
     def conditional_log_probs_t(self, states: np.ndarray, d: int) -> Tensor:
         """Full conditionals log q(value | other coords) for dimension d.
@@ -147,12 +149,14 @@ class LogitTableModel(DensityModel):
     def log_mass_unnorm_t(self, states: np.ndarray) -> Tensor:
         return ad.gather(self.logits, self.space.indices_of(states))
 
-    def score_entries_flat_t(self, structure, src_flat, positions) -> Tensor:
-        """:meth:`score_entries_t` from flat source indices, for the estimators."""
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
+        src, positions = np.asarray(states, dtype=np.int64), np.asarray(positions, dtype=np.int64)
         indptr, indices = structure.adjacency()
-        dst_flat = indices[indptr[src_flat] + positions]
-        delta = ad.sub(ad.gather(self.logits, dst_flat), ad.gather(self.logits, src_flat))
-        return ad.sub(ad.texp(delta), 1.0)
+        if src.ndim == 2:
+            src = self.space.indices_of(src)
+            if ((positions < 0) | (positions >= indptr[src + 1] - indptr[src])).any():
+                raise ValueError("neighbor position out of range")
+        return ad.ratio_m1(self.logits, indices[indptr[src] + positions], src)
 
     def log_mass_t(self, states: np.ndarray) -> Tensor:
         lse = ad.logsumexp(self.logits)
@@ -214,17 +218,13 @@ class ScoreNetModel(ScoreModel):
         layers = list(self.params.values())
         return _mlp_t(encoded, layers[0::2], layers[1::2])
 
-    def score_entries_t(
-        self, structure: NeighborhoodStructure, states: np.ndarray, positions: np.ndarray
-    ) -> Tensor:
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
         deg = structure.uniform_degree()
         if deg != self.degree:
-            raise ValueError(
-                f"score net emits {self.degree} entries but structure degree is {deg}"
-            )
+            raise ValueError(f"score net emits {self.degree} entries but structure degree is {deg}")
+        states = structure.space.as_states(states)
         out = self.forward_t(self.encode(states))
-        m = np.asarray(states).shape[0]
-        return ad.take_pairs(out, np.arange(m), np.asarray(positions, dtype=np.int64))
+        return ad.take_pairs(out, np.arange(states.shape[0]), np.asarray(positions, dtype=np.int64))
 
     def config(self) -> dict:
         return {

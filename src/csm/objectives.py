@@ -13,12 +13,13 @@ Every Concrete-score-matching objective other than the l2 loss is an
 edge selection plus one kernel. The selection is numpy only: the edges
 (src, pos) and per-edge weights alpha on J1 and beta on J2. The kernel,
 :func:`_weighted_j`, evaluates sum alpha (c^2 + 2c) - 2 beta c with one
-score-entry call and is the only tape expression of J1 and J2; the J2
-estimators return its negation, +J2. Those objectives report ``edges``
-(selected edges), ``j1`` and ``j2`` in ``meta``, with ``batch`` and the
-counts of batch states with nothing to select, which contribute zero:
-``j1_skipped_empty`` (no out-edges), ``j2_skipped_empty`` (no in-edges)
-and, for the structured J2, ``j2_edges``.
+score-entry call; the J2 estimators return its negation, +J2. It and the
+squared-error losses compute their value and dL/dc in numpy and seed the
+backward pass at the score entries c, so the tape ends there. Those
+objectives report ``edges`` (selected edges), ``j1`` and ``j2`` in
+``meta``, with ``batch`` and the counts of batch states with nothing to
+select, which contribute zero: ``j1_skipped_empty`` (no out-edges),
+``j2_skipped_empty`` (no in-edges) and, for the structured J2, ``j2_edges``.
 
 Every public objective returns an :class:`ObjectiveValue` carrying the
 scalar, the parameter gradients from the tape, and bookkeeping counts.
@@ -30,14 +31,13 @@ context each needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .exact import TabularDistribution
-from .graphs import DiscreteSpace, NeighborhoodStructure, ReverseIndex, csr_rows
+from .graphs import DiscreteSpace, NeighborhoodStructure, ReverseIndex
 
 # dcsm_loss_exact enumerates (clean, noisy) pairs; quadratic blowup guard
 EXACT_PAIR_CAP = 4096
@@ -103,39 +103,44 @@ class NoiseKernel:
 # shared plumbing
 
 
-def _entries_t(model, structure, src: np.ndarray, positions) -> Tensor:
-    """Score entries c(src[j])[positions[j]]; ``src`` holds states (m, D)
-    or, on an enumerable space, flat indices (m,)."""
-    if src.ndim == 1:
-        if hasattr(model, "score_entries_flat_t"):
-            return model.score_entries_flat_t(structure, src, positions)
-        src = structure.space.states_of(src)
-    return model.score_entries_t(structure, src, positions)
-
-
-def _finalize(model, loss: Tensor, meta: dict) -> ObjectiveValue:
+def _finalize(model, out: Tensor, meta: dict, value=None, seed=None) -> ObjectiveValue:
+    """The objective and its parameter gradients. ``out`` is the scalar loss
+    on the tape or, given ``seed`` = dL/d(out), the tensor from which the
+    loss ``value`` was computed in numpy; the backward pass starts there."""
     params = model.params
     for p in params.values():
         p.grad = None
-    loss.backward()
+    out.backward(seed)
     grads = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
-    return ObjectiveValue(value=float(loss.data), grads=grads, meta=meta)
+    return ObjectiveValue(value=float(out.data) if seed is None else value, grads=grads, meta=meta)
 
 
 def _weighted_j(model, structure, selections, meta: dict, sign: float = 1.0) -> ObjectiveValue:
     """``sign`` times J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the
     concatenated edge selections (src, pos, alpha, beta), where alpha and beta
-    weigh each edge's J1 and J2 terms: one score-entry evaluation, and the
-    only tape expression of J1 and J2."""
+    weigh each edge's J1 and J2 terms: one score-entry evaluation, with the
+    backward pass seeded at c by dL/dc = 2 alpha c + 2 (alpha - beta)."""
     src, pos, alpha, beta = map(np.concatenate, zip(*selections))
-    c = _entries_t(model, structure, src, pos)
-    loss = ad.tsum(ad.mul(ad.add(ad.mul(c, alpha), 2.0 * (alpha - beta)), c))
-    j2 = 2.0 * float((beta * c.data).sum())
-    meta = {**meta, "edges": len(src), "j1": float(loss.data) + j2, "j2": j2}
-    return _finalize(model, loss if sign == 1.0 else ad.mul(loss, sign), meta)
+    c = model.score_entries_t(structure, src, pos)
+    ca = c.data * alpha
+    # loss = sum (c alpha + 2 (alpha - beta)) c, so dL/dc = that factor + c alpha
+    factor = ca + 2.0 * (alpha - beta)
+    loss, j2, seed = float((factor * c.data).sum()), 2.0 * float((beta * c.data).sum()), factor + ca
+    meta = {**meta, "edges": len(src), "j1": loss + j2, "j2": j2}
+    return _finalize(model, c, meta, sign * loss, seed if sign == 1.0 else sign * seed)
+
+
+def _squared_error(model, structure, src, pos, target, weight, meta: dict) -> ObjectiveValue:
+    """sum weight (c - target)^2 over the score entries c = c(src)[pos], with
+    target and weight of shape (m,) or (k, m), seeded at c by its gradient."""
+    c = model.score_entries_t(structure, src, pos)
+    diff = c.data - target
+    weighted = diff * weight
+    return _finalize(model, c, meta, float((diff * weighted).sum()),
+                     2.0 * weighted.reshape(-1, c.size).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +154,11 @@ def csm_loss_exact(model, p: TabularDistribution, structure: NeighborhoodStructu
     its support. States with zero mass carry zero weight and are skipped
     (their score target is undefined).
     """
-    space = structure.space
     src, pos, dst = structure.edges()
-    w = p.mass[src]
-    keep = w > 0
-    src, pos, dst, w = src[keep], pos[keep], dst[keep], w[keep]
-    target = p.mass[dst] / p.mass[src] - 1.0
-    entries = _entries_t(model, structure, src, pos)
-    loss = ad.tsum(ad.mul(ad.square(ad.sub(entries, target)), w))
-    meta = {"edges": int(src.size), "states": int(space.total_states)}
-    return _finalize(model, loss, meta)
+    keep = p.mass[src] > 0
+    src, pos, dst = src[keep], pos[keep], dst[keep]
+    meta = {"edges": int(src.size), "states": int(structure.space.total_states)}
+    return _squared_error(model, structure, src, pos, p.mass[dst] / p.mass[src] - 1.0, p.mass[src], meta)
 
 
 def jcsm_exact(model, p: TabularDistribution, structure: NeighborhoodStructure) -> ObjectiveValue:
@@ -247,6 +247,15 @@ def estimate_j2_structured(model, minibatch: np.ndarray, structure, rng) -> Obje
     return _weighted_j(model, structure, [edges], {"batch": batch.shape[0], **meta}, sign=-1.0)
 
 
+def _row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """(row, entry, counts): each CSR entry of ``rows`` as its index into the
+    data arrays with the row that owns it, and each row's entry count."""
+    counts = indptr[rows + 1] - indptr[rows]
+    # the rows' entries, laid end to end, shifted to where each row starts
+    shift = np.repeat(indptr[rows] - (np.cumsum(counts) - counts), counts)
+    return np.repeat(rows, counts), np.arange(shift.size) + shift, counts
+
+
 def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveValue:
     """Monte Carlo J1 - J2 over the minibatch, summed over whole neighborhoods.
 
@@ -263,17 +272,16 @@ def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveVal
     b, rev = batch.shape[0], reverse_index
     indptr, indices = structure.adjacency()
     w = np.bincount(structure.space.indices_of(batch), minlength=structure.space.total_states)
-    live, mass = np.flatnonzero(w), w / b
-    dst, k = csr_rows(rev.indptr, live)
-    sel = rev.indptr[dst] + k
-    src, pos = csr_rows(indptr, live)
+    live, mass = np.flatnonzero(w > 0), w / b
+    dst, sel, n_in = _row_entries(rev.indptr, live)
+    src, out, n_out = _row_entries(indptr, live)
     # out-edges into a batch state are reverse-index entries already
-    keep = np.flatnonzero(w[indices[indptr[src] + pos]] == 0)
-    src, pos, r_src = src[keep], pos[keep], rev.src[sel]
+    keep = np.flatnonzero(w[indices[out]] == 0)
+    src, out, r_src = src[keep], out[keep], rev.src[sel]
     in_edges = (r_src, rev.pos[sel], mass[r_src], mass[dst])
-    out_edges = (src, pos, mass[src], np.zeros(src.size))
-    meta = {"batch": b, "j1_skipped_empty": int(w[live][indptr[live + 1] == indptr[live]].sum()),
-            "j2_skipped_empty": int(w[live][rev.indptr[live + 1] == rev.indptr[live]].sum())}
+    out_edges = (src, out - indptr[src], mass[src], np.zeros(src.size))
+    meta = {"batch": b, "j1_skipped_empty": int(w[live[n_out == 0]].sum()),
+            "j2_skipped_empty": int(w[live[n_in == 0]].sum())}
     return _weighted_j(model, structure, [in_edges, out_edges], meta)
 
 
@@ -305,10 +313,8 @@ def dcsm_loss(model, minibatch, kernel: NoiseKernel, structure, rng) -> Objectiv
     noisy = kernel.sample(batch, rng)
     rows, pos, dst = structure.all_neighbors_of(noisy)
     target = kernel.score_targets(batch[rows], noisy[rows], dst)
-    entries = _entries_t(model, structure, noisy[rows], pos)
-    loss = ad.mul(ad.tsum(ad.square(ad.sub(entries, target))), 1.0 / batch.shape[0])
     meta = {"batch": batch.shape[0], "neighbor_evals": int(rows.size)}
-    return _finalize(model, loss, meta)
+    return _squared_error(model, structure, noisy[rows], pos, target, 1.0 / batch.shape[0], meta)
 
 
 def dcsm_loss_exact(model, p: TabularDistribution, kernel: NoiseKernel, structure) -> ObjectiveValue:
@@ -328,16 +334,9 @@ def dcsm_loss_exact(model, p: TabularDistribution, kernel: NoiseKernel, structur
     for d in range(space.ndim):
         q *= kernel.row(d)[np.ix_(states[:, d], states[:, d])]
     src, pos, dst = structure.edges()
-    entries = _entries_t(model, structure, src, pos)
-    e = src.size
-    # weight of (clean i, edge k at noisy src[k]) and its target entry
-    clean_idx = np.repeat(np.arange(n), e)
-    edge_idx = np.tile(np.arange(e), n)
-    weights = (p.mass[:, None] * q[:, src]).reshape(-1)
-    targets = (q[:, dst] / q[:, src] - 1.0).reshape(-1)
-    tiled = ad.gather(entries, edge_idx)
-    loss = ad.tsum(ad.mul(ad.square(ad.sub(tiled, targets)), weights))
-    return _finalize(model, loss, {"pairs": int(n * e)})
+    # row i: the target entries of q(.|clean state i) and their weight p(i) q(src | i)
+    return _squared_error(model, structure, src, pos, q[:, dst] / q[:, src] - 1.0,
+                          p.mass[:, None] * q[:, src], {"pairs": int(n * src.size)})
 
 
 # ---------------------------------------------------------------------------

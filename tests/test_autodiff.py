@@ -109,6 +109,24 @@ class TestBackwardMechanics:
         with pytest.raises(ValueError):
             x.backward()
 
+    def test_seed_of_the_wrong_shape_names_both(self):
+        x = ad.parameter(np.ones(3))
+        y = ad.texp(x)
+        with pytest.raises(ValueError, match=r"seed has shape \(2,\), tensor has shape \(3,\)"):
+            y.backward(np.ones(2))
+        with pytest.raises(ValueError, match="scalar"):
+            y.backward()
+
+    def test_seeded_backward_is_the_backward_of_the_weighted_sum(self):
+        rng = np.random.default_rng(7)
+        x = ad.parameter(rng.standard_normal((4, 3)))
+        w = rng.standard_normal((3, 2))
+        seed = rng.standard_normal((4, 2))
+        ad.ttanh(ad.matmul(x, w)).backward(seed)
+        seeded, x.grad = x.grad, None
+        ad.tsum(ad.mul(ad.ttanh(ad.matmul(x, w)), seed)).backward()
+        np.testing.assert_allclose(seeded, x.grad, rtol=1e-15, atol=1e-15)
+
     def test_shared_subexpression_counted_twice(self):
         x = ad.parameter(np.array([2.0]))
         y = ad.texp(x)
@@ -137,14 +155,28 @@ class TestScatterVJPs:
 
     def test_gather_repeated_indices(self):
         rng = np.random.default_rng(5)
-        for shape in ((6,), (6, 3)):
-            x = ad.parameter(rng.standard_normal(shape))
-            idx = np.array([4, 0, 4, 4, 2, 0, 5])
-            weights = rng.standard_normal((idx.size,) + shape[1:])
-            ad.tsum(ad.mul(ad.gather(x, idx), weights)).backward()
-            want = np.zeros(shape)
-            np.add.at(want, idx, weights)
-            np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+        x = ad.parameter(rng.standard_normal(6))
+        idx = np.array([4, 0, 4, 4, 2, 0, 5])
+        weights = rng.standard_normal(idx.size)
+        ad.tsum(ad.mul(ad.gather(x, idx), weights)).backward()
+        want = np.zeros(6)
+        np.add.at(want, idx, weights)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+
+    def test_ratio_m1_matches_its_gather_chain(self):
+        """One node with the value and gradient of exp(a[hi] - a[lo]) - 1 built
+        from gathers, repeated indices and hi = lo included."""
+        rng = np.random.default_rng(8)
+        x = ad.parameter(rng.standard_normal(6))
+        hi, lo = np.array([4, 0, 4, 2, 5, 1]), np.array([0, 0, 3, 4, 4, 1])
+        weights = rng.standard_normal(hi.size)
+        out = ad.ratio_m1(x, hi, lo)
+        ad.tsum(ad.mul(out, weights)).backward()
+        got, x.grad = x.grad, None
+        chain = ad.sub(ad.texp(ad.sub(ad.gather(x, hi), ad.gather(x, lo))), 1.0)
+        ad.tsum(ad.mul(chain, weights)).backward()
+        np.testing.assert_array_equal(out.data, chain.data)
+        np.testing.assert_allclose(got, x.grad, rtol=0, atol=1e-15)
 
     def test_take_pairs_repeated_pairs(self):
         rng = np.random.default_rng(6)

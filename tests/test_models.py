@@ -85,20 +85,55 @@ class TestLogitTable:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def _model_and_grid(kind):
+    """A small model of ``kind`` and a grid it accepts."""
+    if kind == "logit_table":
+        model = _logit_table((4, 3), 5, 1.0)
+        return model, build_structure("grid", model.space)  # degrees 2 to 4
+    if kind == "score_net":
+        model = ScoreNetModel(DiscreteSpace((4, 3)), degree=4, hidden=(8,), seed=5)
+        return model, build_structure("grid", model.space, boundary="wrap")
+    model = MaskedARModel(5, hidden=(8,), seed=5)
+    return model, build_structure("grid", model.space)
+
+
+class TestScoreEntries:
+    """One ``score_entries_t`` for flat indices (m,) or states (m, D)."""
+
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    def test_flat_indices_and_states_agree(self, kind):
+        model, structure = _model_and_grid(kind)
+        rng = np.random.default_rng(6)
+        flat = rng.integers(0, model.space.total_states, size=20)
+        states = model.space.states_of(flat)
+        pos = rng.integers(0, structure.degrees_of(states))
+        np.testing.assert_array_equal(model.score_entries_t(structure, flat, pos).data,
+                                      model.score_entries_t(structure, states, pos).data)
+
+    @pytest.mark.parametrize("n_dims", [12, 70])
+    def test_density_entries_are_log_mass_ratios(self, n_dims):
+        """Repeated states share a log-mass row; beyond int64 flat indices
+        (70 bits) every row is its own."""
+        model = MaskedARModel(n_dims, hidden=(6,), seed=2)
+        grid = build_structure("grid", model.space)
+        states = np.random.default_rng(7).integers(0, 2, size=(5, n_dims))[[0, 1, 1, 2, 3, 4, 4]]
+        pos = np.array([0, 1, 1, 3, n_dims - 1, 2, 5])
+        dst = grid.neighbor_states_at(states, pos)
+        want = np.exp(model.log_mass_unnorm(dst) - model.log_mass_unnorm(states)) - 1.0
+        np.testing.assert_allclose(model.score_entries(grid, states, pos), want, rtol=1e-12, atol=1e-15)
+
+    def test_logit_table_position_out_of_range(self):
+        model, grid = _model_and_grid("logit_table")
+        with pytest.raises(ValueError, match="position out of range"):
+            model.score_entries(grid, np.array([[0, 0]]), np.array([2]))  # the corner has 2
+
+
 class TestScoreVector:
     """``score_vector`` on a block is the CSR data of the score over its rows."""
 
     @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
     def test_block_concatenates_rows(self, kind):
-        if kind == "logit_table":
-            model = _logit_table((4, 3), 5, 1.0)
-            structure = build_structure("grid", model.space)  # degrees 2 to 4
-        elif kind == "score_net":
-            model = ScoreNetModel(DiscreteSpace((4, 3)), degree=4, hidden=(8,), seed=5)
-            structure = build_structure("grid", model.space, boundary="wrap")
-        else:
-            model = MaskedARModel(5, hidden=(8,), seed=5)
-            structure = build_structure("grid", model.space)
+        model, structure = _model_and_grid(kind)
         states = model.space.all_states()[np.random.default_rng(5).integers(0, 12, size=7)]
         want = np.concatenate([model.score_vector(structure, s) for s in states])
         np.testing.assert_allclose(model.score_vector(structure, states), want, rtol=1e-14, atol=1e-15)

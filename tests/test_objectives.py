@@ -9,7 +9,7 @@ from csm import autodiff as ad
 from csm import objectives as obj
 from csm.autodiff import Tensor, gradient_check
 from csm.exact import TabularDistribution, kl_and_tv
-from csm.graphs import DiscreteSpace, build_reverse_index, build_structure
+from csm.graphs import DiscreteSpace, build_reverse_index, build_structure, csr_rows
 from csm.models import LogitTableModel, MaskedARModel, ScoreModel, ScoreNetModel, fit
 
 
@@ -22,8 +22,11 @@ class _FixedScore(ScoreModel):
         self.table = table  # state tuple -> vector
 
     def score_entries_t(self, structure, states, positions):
+        states = np.asarray(states)
+        if states.ndim == 1:  # flat indices
+            states = structure.space.states_of(states)
         return Tensor(np.array(
-            [self.table[tuple(s)][p] for s, p in zip(np.asarray(states), positions)],
+            [self.table[tuple(s)][p] for s, p in zip(states, positions)],
             dtype=np.float64,
         ))
 
@@ -194,7 +197,79 @@ class TestUnbiasedness:
 
 # A tests-only scalar reference of the single-draw estimator terms as separate
 # tape expressions, with the same draws: one neighbor slot per nonempty batch
-# state, then (grids only) one dimension per batch state.
+# state, then (grids only) one dimension per batch state. Its score entries and
+# losses are the whole-tape forms the objectives replaced, which seed the
+# backward pass at the entries instead.
+
+
+def _ref_entries_t(model, structure, src, pos):
+    """Score entries as a tape chain: the score net's forward pass, or a
+    density model's exp(log q(dst) - log q(src)) - 1 from two log-mass passes."""
+    src = np.asarray(src, dtype=np.int64)
+    states = structure.space.states_of(src) if src.ndim == 1 else src
+    if isinstance(model, ScoreNetModel):
+        return model.score_entries_t(structure, states, pos)
+    dst = structure.neighbor_states_at(states, pos)
+    delta = ad.sub(model.log_mass_unnorm_t(dst), model.log_mass_unnorm_t(states))
+    return ad.sub(ad.texp(delta), 1.0)
+
+
+def _ref_weighted_j(model, structure, selections):
+    """The J1 - J2 kernel with its loss on the tape."""
+    src, pos, alpha, beta = map(np.concatenate, zip(*selections))
+    c = _ref_entries_t(model, structure, src, pos)
+    return ad.tsum(ad.mul(ad.add(ad.mul(c, alpha), 2.0 * (alpha - beta)), c))
+
+
+def _ref_mc_selection(batch, structure, rev):
+    """csm_mc_loss's edges from (row, offset) pairs: the reverse-index entries
+    of the batch states, then their out-edges into states outside the batch."""
+    b = batch.shape[0]
+    indptr, indices = structure.adjacency()
+    w = np.bincount(structure.space.indices_of(batch), minlength=structure.space.total_states)
+    live, mass = np.flatnonzero(w), w / b
+    dst, k = csr_rows(rev.indptr, live)
+    sel = rev.indptr[dst] + k
+    src, pos = csr_rows(indptr, live)
+    keep = np.flatnonzero(w[indices[indptr[src] + pos]] == 0)
+    src, pos, r_src = src[keep], pos[keep], rev.src[sel]
+    in_edges = (r_src, rev.pos[sel], mass[r_src], mass[dst])
+    out_edges = (src, pos, mass[src], np.zeros(src.size))
+    meta = {"batch": b, "j1_skipped_empty": int(w[live][indptr[live + 1] == indptr[live]].sum()),
+            "j2_skipped_empty": int(w[live][rev.indptr[live + 1] == rev.indptr[live]].sum())}
+    return [in_edges, out_edges], meta
+
+
+def _ref_csm_loss_exact(model, p, structure):
+    src, pos, dst = structure.edges()
+    keep = p.mass[src] > 0
+    src, pos, dst = src[keep], pos[keep], dst[keep]
+    target = p.mass[dst] / p.mass[src] - 1.0
+    entries = _ref_entries_t(model, structure, src, pos)
+    return ad.tsum(ad.mul(ad.square(ad.sub(entries, target)), p.mass[src]))
+
+
+def _ref_dcsm_loss(model, batch, kernel, structure, rng):
+    noisy = kernel.sample(batch, rng)
+    rows, pos, dst = structure.all_neighbors_of(noisy)
+    target = kernel.score_targets(batch[rows], noisy[rows], dst)
+    entries = _ref_entries_t(model, structure, noisy[rows], pos)
+    return ad.mul(ad.tsum(ad.square(ad.sub(entries, target))), 1.0 / batch.shape[0])
+
+
+def _ref_dcsm_loss_exact(model, p, kernel, structure):
+    """Every (clean, noisy) pair as its own tape entry, tiled by a gather."""
+    states = structure.space.all_states()
+    n = states.shape[0]
+    q = np.ones((n, n))
+    for d in range(structure.space.ndim):
+        q *= kernel.row(d)[np.ix_(states[:, d], states[:, d])]
+    src, pos, dst = structure.edges()
+    entries = _ref_entries_t(model, structure, src, pos)
+    weights = (p.mass[:, None] * q[:, src]).reshape(-1)
+    targets = (q[:, dst] / q[:, src] - 1.0).reshape(-1)
+    tiled = ad.gather(entries, np.tile(np.arange(src.size), n))
+    return ad.tsum(ad.mul(ad.square(ad.sub(tiled, targets)), weights))
 
 
 def _ref_j1(model, batch, structure, rng):
@@ -203,7 +278,7 @@ def _ref_j1(model, batch, structure, rng):
         return Tensor(0.0)
     rows = np.flatnonzero(degs > 0)
     pos = rng.integers(0, degs[rows])
-    c = obj._entries_t(model, structure, batch[rows], pos)
+    c = _ref_entries_t(model, structure, batch[rows], pos)
     per = ad.mul(ad.add(ad.square(c), ad.mul(c, 2.0)), degs[rows].astype(np.float64))
     return ad.mul(ad.tsum(per), 1.0 / len(batch))
 
@@ -217,7 +292,7 @@ def _ref_j2(model, batch, structure, rev, rng):
     rows = np.flatnonzero(counts > 0)
     k = rng.integers(0, counts[rows])
     sel = [rev.indptr[flat[r]] + j for r, j in zip(rows, k)]
-    c = obj._entries_t(model, structure, rev.src[sel], rev.pos[sel])
+    c = _ref_entries_t(model, structure, rev.src[sel], rev.pos[sel])
     return ad.mul(ad.tsum(ad.mul(c, 2.0 * counts[rows])), 1.0 / len(batch))
 
 
@@ -229,7 +304,7 @@ def _ref_j2_structured(model, batch, structure, rng):
         pred = [(i - 1) % n for i in flat if structure.kind == "cycle" or i > 0]
         if not pred:
             return Tensor(0.0)
-        c = obj._entries_t(model, structure, np.array(pred), np.zeros(len(pred), dtype=np.int64))
+        c = _ref_entries_t(model, structure, np.array(pred), np.zeros(len(pred), dtype=np.int64))
         return ad.mul(ad.tsum(ad.mul(c, 2.0)), 1.0 / b)
     d = rng.integers(0, space.ndim, size=b)
     wrap = structure.boundary == "wrap"
@@ -248,7 +323,7 @@ def _ref_j2_structured(model, batch, structure, rng):
                 blocks[block].append((y, row.tolist().index(space.index_of(x))))
     edges = blocks["flip"] + blocks["pred"] + blocks["succ"]
     src = np.array([y for y, _ in edges], dtype=np.int64)
-    c = obj._entries_t(model, structure, src, np.array([p for _, p in edges]))
+    c = _ref_entries_t(model, structure, src, np.array([p for _, p in edges]))
     return ad.mul(ad.tsum(ad.mul(c, 2.0 * space.ndim)), 1.0 / b)
 
 
@@ -310,6 +385,38 @@ class TestDifferential:
                 got = new(model, rng_got)
                 assert got.meta["edges"] > 0, name
                 self.assert_same(got, model, ref(model, rng_ref), rng_got, rng_ref)
+
+    @pytest.mark.parametrize("kind,dims,boundary", [
+        ("cycle", (6,), "drop"), ("grid", (4, 3), "drop"), ("grid", (3, 4), "wrap"),
+        ("grid", (2, 2, 2), "drop"),
+    ])
+    def test_csm_objectives_match_tape_reference(self, kind, dims, boundary):
+        """Every objective that seeds the backward pass at the score entries
+        against its whole-tape form, on each model kind the structure admits."""
+        structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
+        space = structure.space
+        rev = build_reverse_index(structure)
+        rng = np.random.default_rng(43)
+        p = TabularDistribution.random_positive(space, rng)
+        kernel = obj.NoiseKernel(space, w=0.8)
+        batch = space.states_of(rng.integers(0, space.total_states, size=30))
+        src, pos, dst = structure.edges()
+        calls = {
+            "jcsm_exact": (lambda m, r: obj.jcsm_exact(m, p, structure),
+                           lambda m, r: _ref_weighted_j(m, structure, [(src, pos, p.mass[src], p.mass[dst])])),
+            "csm_mc": (lambda m, r: obj.csm_mc_loss(m, batch, structure, rev, r),
+                       lambda m, r: _ref_weighted_j(m, structure, _ref_mc_selection(batch, structure, rev)[0])),
+            "csm_exact": (lambda m, r: obj.csm_loss_exact(m, p, structure),
+                          lambda m, r: _ref_csm_loss_exact(m, p, structure)),
+            "dcsm": (lambda m, r: obj.dcsm_loss(m, batch, kernel, structure, r),
+                     lambda m, r: _ref_dcsm_loss(m, batch, kernel, structure, r)),
+            "dcsm_exact": (lambda m, r: obj.dcsm_loss_exact(m, p, kernel, structure),
+                           lambda m, r: _ref_dcsm_loss_exact(m, p, kernel, structure)),
+        }
+        for model in self.models(structure, rng):
+            for name, (new, ref) in calls.items():
+                rng_got, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+                self.assert_same(new(model, rng_got), model, ref(model, rng_ref), rng_got, rng_ref)
 
 
 def _explicit_two_regular():
@@ -376,6 +483,28 @@ class TestHistogramKernel:
         structure = HISTOGRAM_CASES[case]()
         net = ScoreNetModel(structure.space, degree=structure.uniform_degree(), hidden=(6,), seed=3)
         _assert_matches_histogram(net, _sparse_batch(structure.space, np.random.default_rng(32)), structure)
+
+    @pytest.mark.parametrize("case", sorted(HISTOGRAM_CASES))
+    def test_selects_the_reference_edges(self, case):
+        """The same edges in the same order, and the same counts, as the
+        selection built from (row, offset) pairs."""
+
+        class Recorder(LogitTableModel):
+            def score_entries_t(self, structure, states, positions):
+                self.seen = (np.asarray(states).copy(), np.asarray(positions).copy())
+                return super().score_entries_t(structure, states, positions)
+
+        structure = HISTOGRAM_CASES[case]()
+        space, rev = structure.space, build_reverse_index(structure)
+        rng = np.random.default_rng(34)
+        for batch in (_sparse_batch(space, rng), space.all_states(), space.states_of([0, 0, 1])):
+            model = Recorder(space)
+            out = obj.csm_mc_loss(model, batch, structure, rev, None)
+            selections, meta = _ref_mc_selection(batch, structure, rev)
+            ref_src, ref_pos, _, _ = map(np.concatenate, zip(*selections))
+            np.testing.assert_array_equal(model.seen[0], ref_src)
+            np.testing.assert_array_equal(model.seen[1], ref_pos)
+            assert out.meta == {**meta, "edges": ref_src.size, "j1": out.meta["j1"], "j2": out.meta["j2"]}
 
     def test_in_edges_from_outside_the_batch_come_from_the_reverse_index(self):
         """A reverse index filed under the wrong destinations changes the loss."""
