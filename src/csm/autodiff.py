@@ -123,8 +123,7 @@ def mul(a, b) -> Tensor:
 def pow_const(a, exponent: float) -> Tensor:
     ad = _data(a)
     e = float(exponent)
-    out = ad**e
-    return Tensor(out, (_maybe(a),), lambda g: (g * e * ad ** (e - 1.0),))
+    return Tensor(ad**e, (_maybe(a),), lambda g: (g * e * ad ** (e - 1.0),))
 
 
 def square(a) -> Tensor:
@@ -163,10 +162,16 @@ def _scatter_add(flat_idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarra
 
 
 def gather(a, indices) -> Tensor:
-    """Entries of a 1-D ``a`` at non-negative ``indices``."""
+    """Rows (or scalars, for 1-D inputs) of ``a`` at non-negative ``indices``."""
     ad = _data(a)
     idx = np.asarray(indices, dtype=np.int64)
-    return Tensor(ad[idx], (_maybe(a),), lambda g: (_scatter_add(idx, g, ad.shape),))
+
+    def vjp(g):
+        inner = int(np.prod(ad.shape[1:]))
+        flat = idx if inner == 1 else idx[..., None] * inner + np.arange(inner)
+        return (_scatter_add(flat, g, ad.shape),)
+
+    return Tensor(ad[idx], (_maybe(a),), vjp)
 
 
 def ratio_m1(a, hi, lo) -> Tensor:
@@ -198,9 +203,7 @@ def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     ad = _data(a)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, ad.shape).copy(),)
-        ge = g if keepdims else np.expand_dims(g, axis)
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, ad.shape).copy(),)
 
     return Tensor(ad.sum(axis=axis, keepdims=keepdims), (_maybe(a),), vjp)
@@ -217,17 +220,12 @@ def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     expd = np.exp(ad - peak)
     total = expd.sum(axis=axis, keepdims=True)
     out = np.log(total) + peak
-    if not keepdims and axis is not None:
-        out = np.squeeze(out, axis=axis)
-    elif axis is None and not keepdims:
-        out = out.reshape(())
+    if not keepdims:
+        out = out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
     soft = expd / total
 
     def vjp(g):
-        if axis is None:
-            return (soft * g,)
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return (soft * ge,)
+        return (soft * (g if keepdims or axis is None else np.expand_dims(g, axis)),)
 
     return Tensor(out, (_maybe(a),), vjp)
 

@@ -137,6 +137,12 @@ def estimator_suite(seed: int = 0, draws: int = 100_000, sigmas: float = 3.0) ->
         ("grid_wrap", build_structure("grid", DiscreteSpace((9, 9)), boundary="wrap")),
     ]
     results = []
+
+    def band(name: str, estimate: float, truth: float, var: float):
+        """Pass when the estimate lies within ``sigmas`` standard errors of the truth."""
+        err, tol = abs(estimate - truth), sigmas * np.sqrt(max(var, 0.0) / draws)
+        results.append(CheckResult(f"{name}_unbiased_{label}", err < tol, err, tol))
+
     for label, structure in cases:
         space = structure.space
         p = TabularDistribution.random_positive(space, rng)
@@ -145,38 +151,12 @@ def estimator_suite(seed: int = 0, draws: int = 100_000, sigmas: float = 3.0) ->
         rev = build_reverse_index(structure)
         j1, var1, j2, var2, var2s = _enumerated_j_stats(model, p, structure)
         batch = p.sample(draws, rng)
-
-        est1 = obj.estimate_j1(model, batch, structure, rng).value
-        se1 = np.sqrt(max(var1, 0.0) / draws)
-        results.append(
-            CheckResult(
-                f"j1_unbiased_{label}", abs(est1 - j1) < sigmas * se1, abs(est1 - j1), sigmas * se1
-            )
-        )
-        est2 = obj.estimate_j2(model, batch, structure, rev, rng).value
-        se2 = np.sqrt(max(var2, 0.0) / draws)
-        results.append(
-            CheckResult(
-                f"j2_unbiased_{label}", abs(est2 - j2) < sigmas * se2, abs(est2 - j2), sigmas * se2
-            )
-        )
+        band("j1", obj.estimate_j1(model, batch, structure, rng).value, j1, var1)
+        band("j2", obj.estimate_j2(model, batch, structure, rev, rng).value, j2, var2)
         if var2s is not None:
-            est2s = obj.estimate_j2_structured(model, batch, structure, rng).value
-            se2s = np.sqrt(max(var2s, 0.0) / draws)
-            results.append(
-                CheckResult(
-                    f"j2_structured_unbiased_{label}",
-                    abs(est2s - j2) < sigmas * se2s,
-                    abs(est2s - j2),
-                    sigmas * se2s,
-                )
-            )
-        est_mc = obj.csm_mc_loss(model, batch, structure, rev, rng).value
-        se_mc = np.sqrt(max(_enumerated_mc_var(model, p, structure), 0.0) / draws)
-        err_mc = abs(est_mc - (j1 - j2))
-        results.append(
-            CheckResult(f"csm_mc_unbiased_{label}", err_mc < sigmas * se_mc, err_mc, sigmas * se_mc)
-        )
+            band("j2_structured", obj.estimate_j2_structured(model, batch, structure, rng).value, j2, var2s)
+        band("csm_mc", obj.csm_mc_loss(model, batch, structure, rev, rng).value, j1 - j2,
+             _enumerated_mc_var(model, p, structure))
     return results
 
 

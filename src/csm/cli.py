@@ -9,6 +9,7 @@ the process exits non-zero on any error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -155,8 +156,6 @@ def _init_state(cfg: RunConfig, space: DiscreteSpace) -> tuple[int, ...]:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    import os
-
     os.makedirs(cfg.out, exist_ok=True)
     dataset = _load_dataset(cfg)
     structure = _build_structure(cfg, dataset.space)
@@ -190,8 +189,6 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_sample(cfg: RunConfig, checkpoint: str) -> int:
-    import os
-
     os.makedirs(cfg.out, exist_ok=True)
     loaded = models.load_checkpoint(checkpoint)
     bundle = loaded if isinstance(loaded, list) else [loaded]
@@ -214,8 +211,6 @@ def cmd_sample(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
-    import os
-
     os.makedirs(cfg.out, exist_ok=True)
     model = models.load_checkpoint(checkpoint)
     if isinstance(model, list):
@@ -238,8 +233,6 @@ def cmd_eval(cfg: RunConfig, checkpoint: str) -> int:
 
 
 def cmd_check(suite: str, seed: int, out: str | None) -> int:
-    import os
-
     names = checks.SUITES if suite == "all" else (suite,)
     results = []
     for name in names:

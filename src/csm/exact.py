@@ -24,11 +24,11 @@ log = logging.getLogger(__name__)
 MASS_TOL = 1e-12
 # score entries this close to -1 are clamped before the log is taken
 SCORE_CLAMP = 1e-9
-# most score entries one score_fn call reads. A density model's tape holds a
-# call's activations until it returns: one call over the 2,048 tree owners
-# (24,576 entries) of a 12-bit masked-AR grid took a bench run's peak RSS from
-# 70 to 243 MiB. Blocks of 2,048 entries also cut that run's MH steps/s by a
-# third, which blocks of 1,024 did not.
+# most rows one model read puts on the tape: score entries per score_fn call
+# here, states per DensityModel.log_mass_unnorm pass. A pass holds its
+# activations until it returns: one over the 2,048 tree owners (24,576 entries)
+# of a 12-bit masked-AR grid took peak RSS from 70 to 243 MiB, and blocks of
+# 2,048 entries cut MH steps/s by a third, which blocks of 1,024 did not.
 SCORE_BLOCK = 1024
 
 

@@ -255,11 +255,15 @@ class NeighborhoodStructure:
         positions = np.asarray(positions, dtype=np.int64)
         if self.kind == "grid" and not self.space.enumerable:
             return self._grid_neighbor_at(states, positions)
+        return self.space.states_of(self.neighbor_indices_at(self.space.indices_of(states), positions))
+
+    def neighbor_indices_at(self, flat: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Flat index of the ``positions[j]``-th neighbor of flat state ``flat[j]``."""
         indptr, indices = self.adjacency()
-        flat = self.space.indices_of(states)
-        if ((positions < 0) | (positions >= indptr[flat + 1] - indptr[flat])).any():
+        start = indptr[flat]
+        if ((positions < 0) | (positions >= indptr[flat + 1] - start)).any():
             raise ValueError("neighbor position out of range")
-        return self.space.states_of(indices[indptr[flat] + positions])
+        return indices[start + positions]
 
     def _grid_neighbor_at(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The grid rule: neighbor ``positions[j]`` of ``states[j]`` by arithmetic."""

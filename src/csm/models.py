@@ -26,6 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .exact import SCORE_BLOCK, TabularDistribution
 from .graphs import DiscreteSpace, NeighborhoodStructure, _indptr, csr_rows
 
 
@@ -56,10 +57,11 @@ class ScoreModel:
     params: dict[str, Tensor]
     seed: int
 
-    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions, dst=None) -> Tensor:
         """Differentiable score entries c(states[j])[positions[j]], where
         ``states`` holds states (m, D) or, on an enumerable space, flat
-        indices (m,)."""
+        indices (m,). A caller holding the flat indices ``dst`` of the
+        neighbors N(states[j])[positions[j]] passes them to spare the lookup."""
         raise NotImplementedError
 
     def score_entries(self, structure, states, positions) -> np.ndarray:
@@ -89,12 +91,16 @@ class DensityModel(ScoreModel):
         raise NotImplementedError
 
     def log_mass_unnorm(self, states: np.ndarray) -> np.ndarray:
-        return self.log_mass_unnorm_t(np.asarray(states, dtype=np.int64)).data
+        """Log-mass of states (m, D), ``SCORE_BLOCK`` states per tape pass."""
+        states = np.asarray(states, dtype=np.int64)
+        return np.concatenate([np.empty(0)] + [self.log_mass_unnorm_t(states[i:i + SCORE_BLOCK]).data
+                                               for i in range(0, len(states), SCORE_BLOCK)])
 
-    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
-        states = structure.space.as_states(states)
-        m, space = states.shape[0], structure.space
-        pair = np.concatenate([structure.neighbor_states_at(states, positions), states])
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions, dst=None) -> Tensor:
+        space = structure.space
+        states, m = space.as_states(states), len(states)
+        nbr = structure.neighbor_states_at(states, positions) if dst is None else space.states_of(dst)
+        pair = np.concatenate([nbr, states])
         if space.total_states > 2**63:  # beyond int64 flat indices
             return ad.ratio_m1(self.log_mass_unnorm_t(pair), np.arange(m), np.arange(m, 2 * m))
         # one log-mass row per distinct state: sources and batch states repeat
@@ -108,8 +114,7 @@ class DensityModel(ScoreModel):
         d and log-normalizes, shape (batch, dims[d]).
         """
         states = np.asarray(states, dtype=np.int64)
-        n_d = self.space.dims[d]
-        b = states.shape[0]
+        n_d, b = self.space.dims[d], states.shape[0]
         tiled = np.repeat(states, n_d, axis=0)
         tiled[:, d] = np.tile(np.arange(n_d), b)
         lm = self.log_mass_unnorm_t(tiled)
@@ -149,22 +154,21 @@ class LogitTableModel(DensityModel):
     def log_mass_unnorm_t(self, states: np.ndarray) -> Tensor:
         return ad.gather(self.logits, self.space.indices_of(states))
 
-    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
-        src, positions = np.asarray(states, dtype=np.int64), np.asarray(positions, dtype=np.int64)
-        indptr, indices = structure.adjacency()
-        if src.ndim == 2:
-            src = self.space.indices_of(src)
-            if ((positions < 0) | (positions >= indptr[src + 1] - indptr[src])).any():
-                raise ValueError("neighbor position out of range")
-        return ad.ratio_m1(self.logits, indices[indptr[src] + positions], src)
+    def log_mass_unnorm(self, states: np.ndarray) -> np.ndarray:
+        return self.logits.data[self.space.indices_of(states)]
+
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions, dst=None) -> Tensor:
+        src = np.asarray(states, dtype=np.int64)
+        src = self.space.indices_of(src) if src.ndim == 2 else src
+        if dst is None:
+            dst = structure.neighbor_indices_at(src, np.asarray(positions, dtype=np.int64))
+        return ad.ratio_m1(self.logits, dst, src)
 
     def log_mass_t(self, states: np.ndarray) -> Tensor:
         lse = ad.logsumexp(self.logits)
         return ad.sub(self.log_mass_unnorm_t(states), lse)
 
     def distribution(self):
-        from .exact import TabularDistribution
-
         z = self.logits.data - self.logits.data.max()
         mass = np.exp(z)
         return TabularDistribution(self.space, mass / mass.sum())
@@ -205,12 +209,7 @@ class ScoreNetModel(ScoreModel):
     def encode(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
         if self.one_hot:
-            parts = []
-            for d, n in enumerate(self.space.dims):
-                block = np.zeros((states.shape[0], n))
-                block[np.arange(states.shape[0]), states[:, d]] = 1.0
-                parts.append(block)
-            return np.concatenate(parts, axis=1)
+            return np.concatenate([np.eye(n)[states[:, d]] for d, n in enumerate(self.space.dims)], axis=1)
         dims = np.asarray(self.space.dims, dtype=np.float64)
         return 2.0 * states / (dims - 1.0) - 1.0
 
@@ -218,7 +217,7 @@ class ScoreNetModel(ScoreModel):
         layers = list(self.params.values())
         return _mlp_t(encoded, layers[0::2], layers[1::2])
 
-    def score_entries_t(self, structure: NeighborhoodStructure, states, positions) -> Tensor:
+    def score_entries_t(self, structure: NeighborhoodStructure, states, positions, dst=None) -> Tensor:
         deg = structure.uniform_degree()
         if deg != self.degree:
             raise ValueError(f"score net emits {self.degree} entries but structure degree is {deg}")

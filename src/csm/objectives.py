@@ -118,13 +118,14 @@ def _finalize(model, out: Tensor, meta: dict, value=None, seed=None) -> Objectiv
     return ObjectiveValue(value=float(out.data) if seed is None else value, grads=grads, meta=meta)
 
 
-def _weighted_j(model, structure, selections, meta: dict, sign: float = 1.0) -> ObjectiveValue:
+def _weighted_j(model, structure, selections, meta: dict, sign: float = 1.0, dst=None) -> ObjectiveValue:
     """``sign`` times J1 - J2 = sum alpha (c^2 + 2c) - 2 beta c over the
     concatenated edge selections (src, pos, alpha, beta), where alpha and beta
-    weigh each edge's J1 and J2 terms: one score-entry evaluation, with the
-    backward pass seeded at c by dL/dc = 2 alpha c + 2 (alpha - beta)."""
+    weigh each edge's J1 and J2 terms and ``dst`` optionally holds the edges'
+    flat destinations: one score-entry evaluation, with the backward pass
+    seeded at c by dL/dc = 2 alpha c + 2 (alpha - beta)."""
     src, pos, alpha, beta = map(np.concatenate, zip(*selections))
-    c = model.score_entries_t(structure, src, pos)
+    c = model.score_entries_t(structure, src, pos, dst)
     ca = c.data * alpha
     # loss = sum (c alpha + 2 (alpha - beta)) c, so dL/dc = that factor + c alpha
     factor = ca + 2.0 * (alpha - beta)
@@ -140,7 +141,7 @@ def _squared_error(model, structure, src, pos, target, weight, meta: dict) -> Ob
     diff = c.data - target
     weighted = diff * weight
     return _finalize(model, c, meta, float((diff * weighted).sum()),
-                     2.0 * weighted.reshape(-1, c.size).sum(axis=0))
+                     2.0 * (weighted if weighted.ndim == 1 else weighted.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ def csm_mc_loss(model, minibatch, structure, reverse_index, rng) -> ObjectiveVal
     out_edges = (src, out - indptr[src], mass[src], np.zeros(src.size))
     meta = {"batch": b, "j1_skipped_empty": int(w[live[n_out == 0]].sum()),
             "j2_skipped_empty": int(w[live[n_in == 0]].sum())}
-    return _weighted_j(model, structure, [in_edges, out_edges], meta)
+    return _weighted_j(model, structure, [in_edges, out_edges], meta, dst=np.concatenate([dst, indices[out]]))
 
 
 def csm_structured_loss(model, minibatch, structure, rng) -> ObjectiveValue:

@@ -4,7 +4,7 @@ Metropolis-Hastings walks the undirected view of the neighborhood graph.
 :func:`run_chain` takes its density ratios from one of two sources:
 
 - a density model (one with ``log_mass_unnorm``) is evaluated once over
-  the whole space, in blocks of ``LOG_MASS_BLOCK`` states; the edge ratios along any path telescope, so every
+  the whole space; the edge ratios along any path telescope, so every
   ratio is q(there) / q(here) = exp(log q(there) - log q(here));
 - any other model fills a table with one ratio per undirected-view
   entry from one ``score_vector`` read over the whole space: the score
@@ -38,13 +38,6 @@ import numpy as np
 from .graphs import NeighborhoodStructure, State, csr_rows, is_weakly_connected
 
 
-# A tape pass holds every activation until it returns. Over a whole 12-bit
-# space a MaskedARModel(64, 64) pass took about 3,600 fresh pages per chain
-# from the allocator, whose heap state earlier stages set; in blocks of 512
-# states it reused the same pages (about 50 per chain).
-LOG_MASS_BLOCK = 512
-
-
 class NaNRatioError(FloatingPointError):
     """A density ratio needed by Metropolis-Hastings is NaN."""
 
@@ -76,9 +69,7 @@ def _check_nan(structure, values: np.ndarray):
 
 def _log_mass_ratio(score_model, structure):
     """ratio(here, there) = q(there) / q(here) from one log-mass pass over the space."""
-    states = structure.space.all_states()
-    lm = np.concatenate([score_model.log_mass_unnorm(states[i:i + LOG_MASS_BLOCK])
-                         for i in range(0, len(states), LOG_MASS_BLOCK)])
+    lm = score_model.log_mass_unnorm(structure.space.all_states())
     indptr, dst, _, _ = structure.undirected_view()
     with np.errstate(invalid="ignore"):
         _check_nan(structure, lm[dst] - lm[csr_rows(indptr)[0]])
@@ -207,8 +198,8 @@ def run_chain(
 
     Chain, cycle and grid structures use straight-line path proposals,
     other kinds the single-step undirected proposal (see the module
-    docstring). A density model costs one blocked ``log_mass_unnorm`` pass
-    over the space per call and O(1) per step; any other model costs one
+    docstring). A density model costs one ``log_mass_unnorm`` pass over
+    the space per call and O(1) per step; any other model costs one
     ``score_vector`` read over the space per call, and a path
     costs time proportional to its length. Negative ratios (score entries
     under -1) are clamped to zero and counted in ``clamped``; a NaN ratio

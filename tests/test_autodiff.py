@@ -155,13 +155,14 @@ class TestScatterVJPs:
 
     def test_gather_repeated_indices(self):
         rng = np.random.default_rng(5)
-        x = ad.parameter(rng.standard_normal(6))
-        idx = np.array([4, 0, 4, 4, 2, 0, 5])
-        weights = rng.standard_normal(idx.size)
-        ad.tsum(ad.mul(ad.gather(x, idx), weights)).backward()
-        want = np.zeros(6)
-        np.add.at(want, idx, weights)
-        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+        for shape in ((6,), (6, 3)):
+            x = ad.parameter(rng.standard_normal(shape))
+            idx = np.array([4, 0, 4, 4, 2, 0, 5])
+            weights = rng.standard_normal((idx.size,) + shape[1:])
+            ad.tsum(ad.mul(ad.gather(x, idx), weights)).backward()
+            want = np.zeros(shape)
+            np.add.at(want, idx, weights)
+            np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
 
     def test_ratio_m1_matches_its_gather_chain(self):
         """One node with the value and gradient of exp(a[hi] - a[lo]) - 1 built

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csm import autodiff as ad
-from csm.exact import TabularDistribution
+from csm.exact import SCORE_BLOCK, TabularDistribution
 from csm.graphs import DiscreteSpace, build_structure
 from csm.models import (
     _MODEL_KINDS,
@@ -110,6 +110,16 @@ class TestScoreEntries:
         np.testing.assert_array_equal(model.score_entries_t(structure, flat, pos).data,
                                       model.score_entries_t(structure, states, pos).data)
 
+    @pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+    def test_passed_destinations_match_the_lookup(self, kind):
+        model, structure = _model_and_grid(kind)
+        rng = np.random.default_rng(8)
+        flat = rng.integers(0, model.space.total_states, size=20)
+        pos = rng.integers(0, structure.degrees_of(model.space.states_of(flat)))
+        dst = structure.neighbor_indices_at(flat, pos)
+        np.testing.assert_array_equal(model.score_entries_t(structure, flat, pos, dst).data,
+                                      model.score_entries_t(structure, flat, pos).data)
+
     @pytest.mark.parametrize("n_dims", [12, 70])
     def test_density_entries_are_log_mass_ratios(self, n_dims):
         """Repeated states share a log-mass row; beyond int64 flat indices
@@ -121,6 +131,21 @@ class TestScoreEntries:
         dst = grid.neighbor_states_at(states, pos)
         want = np.exp(model.log_mass_unnorm(dst) - model.log_mass_unnorm(states)) - 1.0
         np.testing.assert_allclose(model.score_entries(grid, states, pos), want, rtol=1e-12, atol=1e-15)
+
+    def test_log_mass_read_in_blocks_is_the_tape_pass(self):
+        class Recorder(MaskedARModel):
+            def log_mass_unnorm_t(self, states):
+                self.sizes.append(len(states))
+                return super().log_mass_unnorm_t(states)
+
+        model = Recorder(11, hidden=(6,), seed=3)
+        states, model.sizes = model.space.all_states(), []
+        got = model.log_mass_unnorm(states)
+        assert model.sizes == [SCORE_BLOCK] * (len(states) // SCORE_BLOCK)
+        np.testing.assert_allclose(got, model.log_mass_unnorm_t(states).data, rtol=1e-13)
+        assert model.log_mass_unnorm(states[:0]).shape == (0,)
+        table, _ = _model_and_grid("logit_table")
+        np.testing.assert_array_equal(table.log_mass_unnorm(table.space.all_states()), table.logits.data)
 
     def test_logit_table_position_out_of_range(self):
         model, grid = _model_and_grid("logit_table")

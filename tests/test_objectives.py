@@ -21,7 +21,7 @@ class _FixedScore(ScoreModel):
     def __init__(self, table):
         self.table = table  # state tuple -> vector
 
-    def score_entries_t(self, structure, states, positions):
+    def score_entries_t(self, structure, states, positions, dst=None):
         states = np.asarray(states)
         if states.ndim == 1:  # flat indices
             states = structure.space.states_of(states)
@@ -418,6 +418,22 @@ class TestDifferential:
                 rng_got, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
                 self.assert_same(new(model, rng_got), model, ref(model, rng_ref), rng_got, rng_ref)
 
+    def test_squared_error_objectives_without_entries_are_zero(self):
+        """No score entries to match: value 0 and zero gradients, from a batch
+        of the last chain state (no out-edges) or a structure with no edges."""
+        space = DiscreteSpace((5,))
+        chain, bare = build_structure("chain", space), build_structure("explicit", space, explicit_edges={})
+        p = TabularDistribution.random_positive(space, np.random.default_rng(44))
+        kernel = obj.NoiseKernel(space, w=1.0 - 1e-12)
+        model = LogitTableModel(space)
+        model.params["logits"].data = np.arange(5.0)
+        outs = [obj.dcsm_loss(model, np.full((6, 1), 4), kernel, chain, np.random.default_rng(0)),
+                obj.csm_loss_exact(model, p, bare), obj.dcsm_loss_exact(model, p, kernel, bare)]
+        assert outs[0].meta["neighbor_evals"] == 0
+        for out in outs:
+            assert out.value == 0.0
+            np.testing.assert_array_equal(out.grads["logits"], np.zeros(5))
+
 
 def _explicit_two_regular():
     """Directed explicit graph over 8 states, two out-edges per state."""
@@ -490,9 +506,9 @@ class TestHistogramKernel:
         selection built from (row, offset) pairs."""
 
         class Recorder(LogitTableModel):
-            def score_entries_t(self, structure, states, positions):
-                self.seen = (np.asarray(states).copy(), np.asarray(positions).copy())
-                return super().score_entries_t(structure, states, positions)
+            def score_entries_t(self, structure, states, positions, dst=None):
+                self.seen = (np.asarray(states).copy(), np.asarray(positions).copy(), dst.copy())
+                return super().score_entries_t(structure, states, positions, dst)
 
         structure = HISTOGRAM_CASES[case]()
         space, rev = structure.space, build_reverse_index(structure)
@@ -504,6 +520,7 @@ class TestHistogramKernel:
             ref_src, ref_pos, _, _ = map(np.concatenate, zip(*selections))
             np.testing.assert_array_equal(model.seen[0], ref_src)
             np.testing.assert_array_equal(model.seen[1], ref_pos)
+            np.testing.assert_array_equal(model.seen[2], structure.neighbor_indices_at(ref_src, ref_pos))
             assert out.meta == {**meta, "edges": ref_src.size, "j1": out.meta["j1"], "j2": out.meta["j2"]}
 
     def test_in_edges_from_outside_the_batch_come_from_the_reverse_index(self):
