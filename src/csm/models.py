@@ -114,7 +114,8 @@ class DensityModel(ScoreModel):
         d and log-normalizes, shape (batch, dims[d]).
         """
         states = np.asarray(states, dtype=np.int64)
-        n_d, b = self.space.dims[d], states.shape[0]
+        n_d = self.space.dims[d]
+        b = states.shape[0]
         tiled = np.repeat(states, n_d, axis=0)
         tiled[:, d] = np.tile(np.arange(n_d), b)
         lm = self.log_mass_unnorm_t(tiled)
