@@ -15,13 +15,14 @@ has zero mass, 0/0 gives 0 and a positive mass over zero gives inf.
 Every function takes a point ``(D,)`` or a block of points ``(M, D)`` and
 makes one ratio call per block, against the cell's first corner inside
 the space (one more for the points whose reference corner has zero
-mass). A point costs O(D 2^D); corner enumeration is capped at D = 12.
+mass). The mix costs O(2^D) per point and the corner block the ratio call
+reads O(D 2^D), with enumeration capped at D = 12.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,41 +59,55 @@ def perturb(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def make_ratio_fn(dist: TabularDistribution) -> RatioFn:
     """Mass ratio p(y) / p(x) over broadcasting (..., D) state blocks, from a table."""
     space = dist.space
-    dims = np.asarray(space.dims, dtype=np.uint64)
     strides = space.indices_of(np.eye(space.ndim, dtype=np.int64))
+    limits = [np.uint64(n) for n in space.dims]  # numpy scalars compare faster than ints
     padded = np.append(dist.mass, 0.0)  # out-of-space states read the trailing 0
 
     def mass(states) -> np.ndarray:
         s = np.asarray(states, dtype=np.int64)
-        # negative coordinates wrap to huge unsigned values: one comparison
-        # checks both ends of every range
-        inside = (s.view(np.uint64) < dims).all(axis=-1)
-        return padded[np.where(inside, s @ strides, dist.mass.size)]
+        # negative coordinates wrap to huge unsigned values: one comparison per
+        # column checks both ends (.all() along the short last axis is slower)
+        u = s.view(np.uint64)
+        inside = functools.reduce(np.logical_and, (u[..., d] < n for d, n in enumerate(limits)))
+        flat = s @ strides if space.ndim > 1 else s[..., 0]  # no matmul along a length-1 axis
+        return padded[np.where(inside, flat, dist.mass.size)]
 
     def ratio(y, x) -> np.ndarray:
         py, px = mass(y), mass(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(py > 0.0, py / px, 0.0)
+            r = np.asarray(py / px)
+        np.copyto(r, 0.0, where=py == 0.0)  # in place: one block fewer than np.where
+        return r
 
     return ratio
 
 
-def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unit cells holding the rows of ``x`` (M, D), corner axis first.
-
-    Returns the corner states (2^D, M, D), their bits (2^D, D), where bit d
-    of corner k is (k >> d) & 1, and the tent factors (2^D, M, D).
-    """
-    ndim = x.shape[1]
+def _cells(x_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x_tilde`` as floats, the corners (2^D, M, D) of the unit cells holding its M
+    rows (corner k adds bit d of k to coordinate d of floor(x)) and the tent factors
+    w (2, D, M) of the lower and upper corners: w[1] = t = x - floor(x), w[0] = 1 - t."""
+    x = np.asarray(x_tilde, dtype=np.float64)
+    ndim, rows = x.shape[-1], x.reshape(-1, x.shape[-1])
     if ndim > POSTERIOR_DIM_CAP:
         raise ValueError(f"corner enumeration caps at {POSTERIOR_DIM_CAP} dims, got {ndim}")
-    bits = (np.arange(2**ndim)[:, None] >> np.arange(ndim)) & 1
-    offset = bits[:, None, :]
-    base = np.floor(x)
-    corners = base.astype(np.int64) + offset
-    tent = (x - base) - (1 - offset)
-    np.abs(tent, out=tent)
-    return corners, bits, tent
+    corners, w = np.empty((2**ndim,) + rows.shape, dtype=np.int64), np.empty((2, ndim, len(rows)))
+    np.floor(rows.T, out=w[0])
+    corners[0] = w[0].T
+    for d in range(ndim):  # copies and a column add; a broadcast add is slower
+        corners[2**d : 2 ** (d + 1)] = corners[: 2**d]
+        corners[2**d : 2 ** (d + 1), :, d] += 1
+    np.subtract(rows.T, w[0], out=w[1])
+    np.subtract(1.0, w[1], out=w[0])
+    return x, corners, w
+
+
+def _tent_levels(w: np.ndarray) -> Iterator[np.ndarray]:
+    """Tent weights (2^d, M) of the corners of the cell in dimensions 0..d-1, d = 1..D."""
+    level = w[:, 0]
+    yield level
+    for d in range(1, w.shape[1]):
+        level = (w[:, d, None] * level).reshape(-1, w.shape[2])
+        yield level
 
 
 def _corner_masses(corners: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
@@ -126,11 +141,11 @@ def posterior_weights(
     points. Exact integer coordinates put all of that dimension's weight on
     the lower corner.
     """
-    x = np.asarray(x_tilde, dtype=np.float64)
-    corners, _, tent = _cells(x.reshape(-1, x.shape[-1]))
-    w = _corner_masses(corners, ratio_fn) * tent.prod(axis=2)
+    x, corners, tent = _cells(x_tilde)
+    *_, weights = _tent_levels(tent)
+    w = _corner_masses(corners, ratio_fn) * weights
     total = w.sum(axis=0)
-    if not np.all(total > 0):
+    if not (total > 0).all():
         raise ValueError("posterior has zero total weight at this point")
     w /= total
     return (corners, w) if x.ndim > 1 else (corners[:, 0], w[:, 0])
@@ -138,38 +153,41 @@ def posterior_weights(
 
 def denoise_sample(
     x_tilde: np.ndarray, ratio_fn: RatioFn, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Draw a clean state from the corner posterior."""
-    corners, w = posterior_weights(x_tilde, ratio_fn)
-    pick = rng.choice(corners.shape[0], p=w)
-    return tuple(int(v) for v in corners[pick])
+) -> tuple[int, ...] | np.ndarray:
+    """Draw a clean state from the corner posterior: a tuple for a point (D,), an
+    (M, D) array for a block. One ``rng.random(M)`` picks, per column, the corner
+    ``rng.choice(2^D, p=w)`` picks: searchsorted(cdf, u, side="right")."""
+    x = np.asarray(x_tilde, dtype=np.float64)
+    corners, w = posterior_weights(x.reshape(-1, x.shape[-1]), ratio_fn)
+    cdf = w.cumsum(axis=0)
+    cdf /= cdf[-1]
+    pick = (cdf <= rng.random(cdf.shape[1])).argmin(axis=0)
+    clean = corners[pick, np.arange(pick.size)]
+    return clean if x.ndim > 1 else tuple(clean[0].tolist())
 
 
 def recover_stein_score(x_tilde: np.ndarray, ratio_fn: RatioFn) -> np.ndarray:
     """Gradient of the perturbed log-density at a point (D,) or block (M, D).
 
-    Dimension d mixes the cell's corner masses into lower/upper
-    aggregates A and B using the other dimensions' tent factors; the
-    score is (B - A) / (A (1 - t_d) + B t_d). The denominator is the same
-    for every d: the perturbed density relative to the reference corner.
-    With one dimension this is (r - 1) / (r t + (1 - t)) for the neighbor
-    ratio r. The other-dimension products come from prefix and suffix
-    products, not by division, since a tent factor is 0 at an integer
-    coordinate.
+    The density relative to the reference corner is multilinear in t. A forward
+    sweep contracts dimension d at level d, highest first, each lower/upper pair
+    (A, B) into A (1 - t_d) + B t_d, down to the density. Each level's B - A summed
+    with the tent weights of dimensions 0..d-1 is d density / d t_d: O(2^D), no division.
     """
-    x = np.asarray(x_tilde, dtype=np.float64)
-    corners, bits, tent = _cells(x.reshape(-1, x.shape[-1]))
+    x, corners, tent = _cells(x_tilde)
     rel = _corner_masses(corners, ratio_fn)
     del corners  # one (2^D, M, D) block fewer alive below
-    others = np.ones_like(tent)  # others[k, m, d] = prod_{e != d} tent[k, m, e]
-    np.cumprod(tent[..., :-1], axis=2, out=others[..., 1:])
-    others[..., :-1] *= np.cumprod(tent[..., :0:-1], axis=2)[..., ::-1]
-    density = (rel * (others[..., 0] * tent[..., 0])).sum(axis=0)
-    if not np.all(density > 0):
+    upper, diff = rel, np.empty_like(rel)  # B - A of level d in rows [2^d, 2^(d+1))
+    for d in reversed(range(tent.shape[1])):
+        lower, higher = upper[: 2**d], upper[2**d :]
+        np.subtract(higher, lower, out=diff[2**d : 2 ** (d + 1)])
+        upper = lower * tent[0, d] + higher * tent[1, d]
+    density = upper[0]
+    if not (density > 0).all():
         raise ValueError("perturbed density vanishes at this point")
-    others *= rel[..., None]
-    others *= 2 * bits[:, None, :] - 1  # upper corners count +, lower corners -
-    return (others.sum(axis=0) / density[:, None]).reshape(x.shape)
+    levels = zip(range(1, tent.shape[1]), _tent_levels(tent))
+    grad = [diff[1]] + [np.einsum("km,km->m", w, diff[2**d : 2 ** (d + 1)]) for d, w in levels]
+    return (np.stack(grad, axis=-1) / density[:, None]).reshape(x.shape)
 
 
 def tabular_stein_field(dist: TabularDistribution) -> Callable[[np.ndarray], np.ndarray]:

@@ -151,7 +151,7 @@ class TestAcceptance:
         field = tabular_stein_field(truth)
         traj = langevin(field, particles, step_size=0.005, steps=3000, rng=rng,
                         burn_in=2999, clamp=(-1 + 1e-6, 16 - 1e-6))
-        denoised = np.array([denoise_sample(x, ratio, rng) for x in traj[-1]])
+        denoised = denoise_sample(traj[-1], ratio, rng)
         empirical = TabularDistribution.from_samples(ds.space, denoised)
         _, tv = kl_and_tv(empirical, truth)
         print(f"    (stein oracle error {worst:.2e} < 1e-6)")

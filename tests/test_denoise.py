@@ -183,6 +183,22 @@ class TestSteinRecovery:
                 num = (np.log(conv(up)) - np.log(conv(down))) / (2 * h)
                 assert s[d] == pytest.approx(num, abs=1e-6)
 
+    def test_field_matches_convolution_derivative_3d(self):
+        """The block field against a central difference of the log of the
+        explicitly convolved density, in every dimension."""
+        rng = np.random.default_rng(14)
+        p = TabularDistribution.random_positive(DiscreteSpace((4, 3, 5)), rng)
+        conv = _convolved(p)
+        pts = rng.uniform(0.05, np.array([2.95, 1.95, 3.95]), size=(30, 3))
+        pts[np.abs(pts - np.round(pts)) < 1e-3] += 0.01
+        field = tabular_stein_field(p)(pts)
+        h = 1e-6
+        for x, s in zip(pts, field):
+            for d in range(3):
+                step = h * np.eye(3)[d]
+                num = (np.log(conv(x + step)) - np.log(conv(x - step))) / (2 * h)
+                assert s[d] == pytest.approx(num, abs=1e-6)
+
     def test_field_matches_pointwise(self):
         rng = np.random.default_rng(8)
         p = TabularDistribution.random_positive(DiscreteSpace((9,)), rng)
@@ -330,7 +346,7 @@ def _sparse_case(ndim: int, seed: int, points: int = 60):
     """Random table with ~30% zero-mass states, and points in boundary
     cells and at exact-integer coordinates."""
     rng = np.random.default_rng(seed)
-    space = DiscreteSpace((3 if ndim == 5 else 4,) * ndim)
+    space = DiscreteSpace(({5: 3, 12: 2}.get(ndim, 4),) * ndim)
     mass = rng.random(space.total_states)
     mass[rng.random(mass.size) < 0.3] = 0.0
     p = TabularDistribution(space, mass, normalize=True)
@@ -369,11 +385,16 @@ def _split_points(p, pts):
 class TestDifferential:
     """The block path against the scalar reference above."""
 
-    @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5, 12])
     def test_posterior_and_stein_match_reference(self, ndim):
-        p, pts = _sparse_case(ndim, seed=100 + ndim)
+        """Among the points: exact-integer coordinates (t_d = 0) and points
+        whose reference corner has zero mass; D = 12 is the enumeration cap."""
+        p, pts = _sparse_case(ndim, seed=100 + ndim, points=10 if ndim == 12 else 60)
         good, _ = _split_points(p, pts)
-        assert len(good) >= 20
+        assert len(good) >= (5 if ndim == 12 else 20)
+        assert np.any(good == np.floor(good))
+        refs = np.maximum(np.floor(good), 0).astype(np.int64)
+        assert np.any(p.mass[p.space.indices_of(refs)] == 0.0)
         block, scalar = make_ratio_fn(p), _scalar_ratio_fn(p)
         for x in good:
             corners, w = posterior_weights(x, block)
@@ -415,6 +436,16 @@ class TestDifferential:
                 corners, w = _ref_posterior(x, scalar)
                 want = tuple(int(v) for v in corners[rng_ref.choice(corners.shape[0], p=w)])
                 assert denoise_sample(x, block, rng_new) == want
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 5, 12])
+    def test_denoise_block_draws_the_point_draws(self, ndim):
+        p, pts = _sparse_case(ndim, seed=200 + ndim, points=10 if ndim == 12 else 60)
+        good, _ = _split_points(p, pts)
+        ratio = make_ratio_fn(p)
+        block = denoise_sample(good, ratio, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        assert block.shape == good.shape and block.dtype == np.int64
+        assert [tuple(c) for c in block.tolist()] == [denoise_sample(x, ratio, rng) for x in good]
 
     @pytest.mark.parametrize("ndim", [1, 2, 3, 5])
     def test_block_call_equals_point_calls(self, ndim):
