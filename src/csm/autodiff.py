@@ -7,9 +7,9 @@ tensor's ``grad``; ``backward(seed)`` starts from dL/d(tensor) for a loss
 L computed in numpy. The first gradient to reach a tensor is stored as it
 is, later ones are added out of place. Non-Tensor operands are treated
 as constants. The op set is deliberately small: elementwise arithmetic,
-exp, tanh and softplus nonlinearities, matmul, gathers, the ratio
-exp(a[hi] - a[lo]) - 1, reductions and log-sum-exp, which is everything
-the models and objectives here need.
+exp, a dense tanh layer, the Bernoulli log-likelihood of logits, gathers,
+the ratio exp(a[hi] - a[lo]) - 1, reductions and log-sum-exp, which is
+everything the models and objectives here need.
 """
 
 from __future__ import annotations
@@ -135,25 +135,42 @@ def texp(a) -> Tensor:
     return Tensor(out, (_maybe(a),), lambda g: (g * out,))
 
 
-def ttanh(a) -> Tensor:
-    out = np.tanh(_data(a))
-    return Tensor(out, (_maybe(a),), lambda g: (g * (1.0 - out * out),))
-
-
-def softplus(a) -> Tensor:
-    ad = _data(a)
-    out = np.maximum(ad, 0.0) + np.log1p(np.exp(-np.abs(ad)))
-    s = 1.0 / (1.0 + np.exp(-np.clip(ad, -500, 500)))
-    return Tensor(out, (_maybe(a),), lambda g: (g * s,))
-
-
-def matmul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
+def dense(h, w, b, tanh: bool) -> Tensor:
+    """One MLP layer as one node: h @ w + b for 2-D ``h``, through tanh when
+    ``tanh``, built in one buffer. The input gradient is skipped for a
+    constant ``h``."""
+    hd, wd, bd = _data(h), _data(w), _data(b)
+    out = hd @ wd
+    out += bd
+    if tanh:
+        np.tanh(out, out=out)
 
     def vjp(g):
-        return (g @ bd.T, ad.T @ g)
+        if tanh:  # g (1 - out^2), in one temporary
+            ge = out * out
+            np.subtract(1.0, ge, out=ge)
+            ge *= g
+        else:
+            ge = g
+        gh = ge @ wd.T if isinstance(h, Tensor) else None
+        return (gh, hd.T @ ge, ge.sum(axis=0))
 
-    return Tensor(ad @ bd, (_maybe(a), _maybe(b)), vjp)
+    return Tensor(out, (_maybe(h), _maybe(w), _maybe(b)), vjp)
+
+
+def bernoulli_log_lik(logits, x) -> Tensor:
+    """Row sums of x l - softplus(l) = log Bernoulli(x | sigmoid(l)) for
+    logits ``l`` (m, D) and constant 0/1 data ``x``, as one node."""
+    ld, xd = _data(logits), _data(x)
+    per_dim = ld * xd
+    per_dim -= np.maximum(ld, 0.0) + np.log1p(np.exp(-np.abs(ld)))  # softplus(l)
+    s = 1.0 / (1.0 + np.exp(-np.clip(ld, -500, 500)))
+
+    def vjp(g):
+        ge = g[:, None]
+        return (ge * xd - ge * s,)
+
+    return Tensor(per_dim.sum(axis=1), (_maybe(logits),), vjp)
 
 
 def _scatter_add(flat_idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -126,16 +126,8 @@ def _build_structure(cfg: RunConfig, space: DiscreteSpace):
 
 def _build_model(cfg: RunConfig, space: DiscreteSpace, structure):
     hidden = tuple(int(h) for h in cfg.hidden.split(",") if h.strip())
-    if cfg.model == "logit_table":
-        return models.LogitTableModel(space, seed=cfg.seed)
-    if cfg.model == "masked_ar":
-        if any(n != 2 for n in space.dims):
-            raise ValueError("masked_ar requires binary data")
-        return models.MaskedARModel(space.ndim, hidden=hidden, seed=cfg.seed)
-    degree = structure.uniform_degree()
-    if degree is None:
-        raise ValueError("score_net requires a fixed-degree structure")
-    return models.ScoreNetModel(space, degree=degree, hidden=hidden, seed=cfg.seed, one_hot=cfg.one_hot)
+    return models._MODEL_KINDS[cfg.model].for_space(space, structure, hidden=hidden,
+                                                     one_hot=cfg.one_hot, seed=cfg.seed)
 
 
 def _build_objective(cfg: RunConfig, structure, dataset: data.Dataset):

@@ -64,10 +64,13 @@ class Dataset:
         self.samples = np.asarray(self.samples, dtype=np.int64)
         if self.samples.ndim != 2 or self.samples.shape[1] != self.space.ndim:
             raise ValueError("samples must be (N, D) matching the space")
-        for d, n in enumerate(self.space.dims):
-            col = self.samples[:, d]
-            if col.size and (col.min() < 0 or col.max() >= n):
-                raise ValueError(f"sample coordinate out of range in dimension {d}")
+        # two contiguous whole-array passes; per-column passes only to name a
+        # breach or where the dimensions differ in size
+        s, dims = self.samples, self.space.dims
+        if s.size and (s.min() < 0 or s.max() >= min(dims)):
+            bad = (s.min(axis=0) < 0) | (s.max(axis=0) >= np.asarray(dims))
+            if bad.any():
+                raise ValueError(f"sample coordinate out of range in dimension {int(bad.argmax())}")
 
 
 def toy_1d_masses() -> np.ndarray:
@@ -92,8 +95,13 @@ def gen_1d_toy(n: int, seed: int = 0) -> Dataset:
 
 
 def _quantize(points: np.ndarray, bins: int) -> np.ndarray:
-    u = (points + FIELD_HALF_WIDTH) / (2.0 * FIELD_HALF_WIDTH) * bins
-    return np.clip(np.floor(u).astype(np.int64), 0, bins - 1)
+    """Bin indices of field points; overwrites ``points`` to keep one float array."""
+    points += FIELD_HALF_WIDTH
+    points /= 2.0 * FIELD_HALF_WIDTH
+    points *= bins
+    np.floor(points, out=points)
+    out = points.astype(np.int64)
+    return np.clip(out, 0, bins - 1, out=out)
 
 
 _phi_cdf = np.vectorize(lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
@@ -142,11 +150,17 @@ def _checkerboard_masses(bins: int) -> np.ndarray:
 
 def _sample_checkerboard(n: int, rng: np.random.Generator, bins: int) -> np.ndarray:
     on = [(i, j) for i in range(CHECKER_CELLS) for j in range(CHECKER_CELLS) if (i + j) % 2 == 0]
-    cells = rng.integers(0, len(on), size=n)
-    corners = np.asarray(on, dtype=np.float64)[cells]
-    u = (corners + rng.random((n, 2))) / CHECKER_CELLS  # uniform in the cell
-    u = u + (CHECKER_BLUR_BINS / bins) * rng.standard_normal((n, 2))
-    return (2.0 * u - 1.0) * FIELD_HALF_WIDTH
+    # in place, one (n, 2) temporary at a time: 2x the output at peak
+    u = np.asarray(on, dtype=np.float64)[rng.integers(0, len(on), size=n)]
+    u += rng.random((n, 2))
+    u /= CHECKER_CELLS  # uniform in the cell
+    z = rng.standard_normal((n, 2))
+    z *= CHECKER_BLUR_BINS / bins
+    u += z
+    u *= 2.0
+    u -= 1.0
+    u *= FIELD_HALF_WIDTH
+    return u
 
 
 def _rings_density(points: np.ndarray) -> np.ndarray:

@@ -42,10 +42,9 @@ def _mlp_params(widths: Sequence[int], rng: np.random.Generator) -> dict[str, Te
 
 def _mlp_t(h, weights: Sequence, biases: Sequence) -> Tensor:
     """Affine layers with tanh between them and none after the last."""
+    last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        if layer:
-            h = ad.ttanh(h)
-        h = ad.add(ad.matmul(h, w), b)
+        h = ad.dense(h, w, b, tanh=layer < last)
     return h
 
 
@@ -56,6 +55,12 @@ class ScoreModel:
     space: DiscreteSpace
     params: dict[str, Tensor]
     seed: int
+
+    @classmethod
+    def for_space(cls, space, structure, *, hidden, one_hot, seed) -> "ScoreModel":
+        """A fresh model of this kind over ``space`` and ``structure``, as the CLI
+        builds it; ``hidden`` and ``one_hot`` apply where the kind has them."""
+        raise NotImplementedError
 
     def score_entries_t(self, structure: NeighborhoodStructure, states, positions, dst=None) -> Tensor:
         """Differentiable score entries c(states[j])[positions[j]], where
@@ -138,6 +143,10 @@ class LogitTableModel(DensityModel):
         self.params = {"logits": ad.parameter(np.zeros(n))}
 
     @classmethod
+    def for_space(cls, space, structure, *, hidden, one_hot, seed):
+        return cls(space, seed=seed)
+
+    @classmethod
     def from_distribution(cls, p) -> "LogitTableModel":
         """The exact oracle of a :class:`~csm.exact.TabularDistribution`:
         logits log p, so entry i of the score at x is p(N_i(x))/p(x) - 1."""
@@ -207,6 +216,13 @@ class ScoreNetModel(ScoreModel):
         in_dim = sum(space.dims) if one_hot else space.ndim
         self.params = _mlp_params((in_dim, *self.hidden, degree), np.random.default_rng(seed))
 
+    @classmethod
+    def for_space(cls, space, structure, *, hidden, one_hot, seed):
+        degree = structure.uniform_degree()
+        if degree is None:
+            raise ValueError("score_net requires a fixed-degree structure")
+        return cls(space, degree=degree, hidden=hidden, seed=seed, one_hot=one_hot)
+
     def encode(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
         if self.one_hot:
@@ -264,18 +280,20 @@ class MaskedARModel(DensityModel):
         out_deg = np.arange(1, n_dims + 1)
         self._masks.append((out_deg[None, :] > prev_deg[:, None]).astype(np.float64))
 
+    @classmethod
+    def for_space(cls, space, structure, *, hidden, one_hot, seed):
+        if any(n != 2 for n in space.dims):
+            raise ValueError("masked_ar requires binary data")
+        return cls(space.ndim, hidden=hidden, seed=seed)
+
     def cond_logits_t(self, states: np.ndarray) -> Tensor:
         layers = list(self.params.values())
         weights = [ad.mul(w, mask) for w, mask in zip(layers[0::2], self._masks)]
         return _mlp_t(np.asarray(states, dtype=np.float64), weights, layers[1::2])
 
     def log_mass_t(self, states: np.ndarray) -> Tensor:
-        states = np.asarray(states, dtype=np.int64)
-        logits = self.cond_logits_t(states)
-        x = states.astype(np.float64)
-        # x*l - softplus(l) = log sigmoid(l) if x=1 else log(1 - sigmoid(l))
-        per_dim = ad.sub(ad.mul(logits, x), ad.softplus(logits))
-        return ad.tsum(per_dim, axis=1)
+        states = np.asarray(states, dtype=np.float64)
+        return ad.bernoulli_log_lik(self.cond_logits_t(states), states)
 
     # already normalized, so the unnormalized view is the same thing
     log_mass_unnorm_t = log_mass_t

@@ -24,8 +24,6 @@ def _fd_grad(f, x, h=1e-6):
 class TestElementwiseOps:
     @pytest.mark.parametrize("op,np_op", [
         (ad.texp, np.exp),
-        (ad.ttanh, np.tanh),
-        (ad.softplus, None),
     ])
     def test_unary_gradients(self, op, np_op):
         rng = np.random.default_rng(0)
@@ -41,7 +39,9 @@ class TestElementwiseOps:
         y = ad.parameter(rng.standard_normal(5))
 
         def build():
-            return ad.tsum(ad.mul(ad.texp(ad.mul(x, 0.3)), ad.ttanh(ad.add(y, x))))
+            # tanh(y + x) through a dense layer with constant identity weights
+            hidden = ad.dense(ad.reshape(ad.add(y, x), (1, 5)), np.eye(5), np.zeros(5), tanh=True)
+            return ad.tsum(ad.mul(ad.texp(ad.mul(x, 0.3)), ad.reshape(hidden, (5,))))
 
         build().backward()
         gx, gy = x.grad.copy(), y.grad.copy()
@@ -54,7 +54,7 @@ class TestElementwiseOps:
         w = ad.parameter(rng.standard_normal((4, 3)))
         b = ad.parameter(rng.standard_normal(3))
         x = rng.standard_normal((8, 4))
-        out = ad.tsum(ad.square(ad.add(ad.matmul(x, w), b)))
+        out = ad.tsum(ad.square(ad.dense(x, w, b, tanh=False)))
         out.backward()
         num = _fd_grad(
             lambda: float((np.asarray(x @ w.data + b.data) ** 2).sum()), b.data
@@ -122,9 +122,10 @@ class TestBackwardMechanics:
         x = ad.parameter(rng.standard_normal((4, 3)))
         w = rng.standard_normal((3, 2))
         seed = rng.standard_normal((4, 2))
-        ad.ttanh(ad.matmul(x, w)).backward(seed)
+        b = np.zeros(2)
+        ad.dense(x, w, b, tanh=True).backward(seed)
         seeded, x.grad = x.grad, None
-        ad.tsum(ad.mul(ad.ttanh(ad.matmul(x, w)), seed)).backward()
+        ad.tsum(ad.mul(ad.dense(x, w, b, tanh=True), seed)).backward()
         np.testing.assert_allclose(seeded, x.grad, rtol=1e-15, atol=1e-15)
 
     def test_shared_subexpression_counted_twice(self):
@@ -188,6 +189,82 @@ class TestScatterVJPs:
         want = np.zeros((4, 3))
         np.add.at(want, (rows, cols), weights)
         np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-15)
+
+
+class TestFusedOps:
+    """dense and bernoulli_log_lik against numpy references: forward, VJP and
+    central differences; no op writes into its inputs' data or the seed."""
+
+    @pytest.mark.parametrize("tanh", [True, False], ids=["tanh", "affine"])
+    @pytest.mark.parametrize("constant_input", [True, False], ids=["constant_input", "tensor_input"])
+    def test_dense_matches_numpy(self, tanh, constant_input):
+        rng = np.random.default_rng(9)
+        h_data = rng.standard_normal((6, 4))
+        h = h_data.copy() if constant_input else ad.parameter(h_data)
+        w = ad.parameter(rng.standard_normal((4, 3)))
+        b = ad.parameter(rng.standard_normal(3))
+        seed = rng.standard_normal((6, 3))
+        before = [h_data.copy(), w.data.copy(), b.data.copy(), seed.copy()]
+        out = ad.dense(h, w, b, tanh=tanh)
+        pre = h_data @ w.data + b.data
+        want = np.tanh(pre) if tanh else pre
+        np.testing.assert_allclose(out.data, want, rtol=1e-14, atol=1e-15)
+        out.backward(seed)
+        ge = seed * (1.0 - np.tanh(pre) ** 2) if tanh else seed
+        np.testing.assert_allclose(w.grad, h_data.T @ ge, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(b.grad, ge.sum(axis=0), rtol=1e-12, atol=1e-14)
+        if constant_input:
+            np.testing.assert_array_equal(h, before[0])
+        else:
+            np.testing.assert_allclose(h.grad, ge @ w.data.T, rtol=1e-12, atol=1e-14)
+            np.testing.assert_array_equal(h.data, before[0])
+        for got, saved in zip((w.data, b.data, seed), before[1:]):
+            np.testing.assert_array_equal(got, saved)
+        assert not np.shares_memory(out.data, h_data)
+
+    def test_bernoulli_log_lik_matches_numpy(self):
+        rng = np.random.default_rng(10)
+        logits = ad.parameter(np.concatenate([rng.standard_normal((5, 4)) * 3,
+                                              [[800.0, -800.0, 0.0, 40.0]]]))
+        x = rng.integers(0, 2, size=(6, 4)).astype(np.float64)
+        seed = rng.standard_normal(6)
+        before = [logits.data.copy(), x.copy(), seed.copy()]
+        out = ad.bernoulli_log_lik(logits, x)
+        with np.errstate(over="ignore", divide="ignore"):
+            p = 1.0 / (1.0 + np.exp(-logits.data))
+            want = np.where(x == 1, np.log(p), np.log1p(-p)).sum(axis=1)
+        np.testing.assert_allclose(out.data[:5], want[:5], rtol=1e-12)
+        assert np.isfinite(out.data).all()
+        out.backward(seed)
+        np.testing.assert_allclose(logits.grad, seed[:, None] * (x - p), rtol=1e-12, atol=1e-15)
+        for got, saved in zip((logits.data, x, seed), before):
+            np.testing.assert_array_equal(got, saved)
+
+    def test_gradient_check_through_both(self):
+        """A two-layer masked-AR-style head passes the finite-difference check."""
+        from csm.objectives import ObjectiveValue
+
+        rng = np.random.default_rng(11)
+        params = {
+            "w0": ad.parameter(rng.standard_normal((5, 7)) * 0.5),
+            "b0": ad.parameter(rng.standard_normal(7) * 0.1),
+            "w1": ad.parameter(rng.standard_normal((7, 5)) * 0.5),
+            "b1": ad.parameter(rng.standard_normal(5) * 0.1),
+        }
+        x = rng.integers(0, 2, size=(8, 5)).astype(np.float64)
+
+        def loss():
+            for p in params.values():
+                p.grad = None
+            hidden = ad.dense(x, params["w0"], params["b0"], tanh=True)
+            logits = ad.dense(hidden, params["w1"], params["b1"], tanh=False)
+            out = ad.tsum(ad.bernoulli_log_lik(logits, x))
+            out.backward()
+            return ObjectiveValue(value=float(out.data), grads={k: p.grad for k, p in params.items()})
+
+        report = ad.gradient_check(params, loss, max_checks=100)
+        assert report["n_checked"] == 82
+        assert report["max_rel_error"] < 1e-6, report
 
 
 class TestAdam:

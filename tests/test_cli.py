@@ -97,6 +97,21 @@ class TestTrainCommand:
         assert main(args) == 0
         model = load_checkpoint(out / "checkpoint.bin")
         assert model.kind == "score_net"
+        assert (model.degree, model.hidden, model.one_hot) == (1, (16,), False)
+
+    @pytest.mark.parametrize("model,structure,message", [
+        ("score_net", "chain", "score_net requires a fixed-degree structure"),
+        ("masked_ar", "cycle", "masked_ar requires binary data"),
+    ])
+    def test_model_kind_rejects_its_space(self, tmp_path, capsys, model, structure, message):
+        args = [
+            "train", "--dataset", "toy1d", "--n_samples", "100", "--structure", structure,
+            "--model", model, "--objective", "csm_structured", "--iterations", "1",
+            "--out", str(tmp_path / "x"),
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not (tmp_path / "x" / "checkpoint.bin").exists()
 
     def test_density_objective_rejects_score_net(self, tmp_path, capsys):
         args = [

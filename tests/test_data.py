@@ -1,5 +1,8 @@
 """Dataset generators and CSV ingestion."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,10 +85,54 @@ class TestToy2D:
         _, tv = kl_and_tv(emp, ds.ground_truth)
         assert tv < 0.03, tv
 
+    @pytest.mark.parametrize("name,n,seed,digest", [
+        ("checkerboard", 200_000, 3, "ab099dc596416f4dcc134d594c39899834584be9757799898f0b47b236cf2fac"),
+        ("rings", 50_000, 1, "2ad33fe9e417380d079eca09bb6f06bcb32943f000abd841abd641e03b1137ca"),
+        ("spirals", 20_000, 2, "7be9ba5c551e049983f99ae226c481043031e2a9ba05d8ee653e4acda05e1b4b"),
+    ], ids=["checkerboard", "rings", "spirals"])
+    def test_seeded_samples_are_pinned(self, name, n, seed, digest):
+        """The seeded draws, bit for bit: RNG calls, their order and every float
+        operation of the sampler, background mix and quantizer."""
+        samples = gen_2d_toy(name, n, seed=seed).samples
+        assert samples.dtype == np.int64 and samples.flags.c_contiguous
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+    def test_checkerboard_peak_memory(self):
+        """The draw holds at most one float temporary beside its output."""
+        gen_2d_toy("checkerboard", 1_000, seed=0)  # first-call set-up out of the trace
+        tracemalloc.start()
+        try:
+            ds = gen_2d_toy("checkerboard", 1_000_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ds.samples.nbytes, peak / ds.samples.nbytes
+
     def test_custom_bins(self):
         ds = gen_2d_toy("rings", 1000, bins=31, seed=0)
         assert ds.space.dims == (31, 31)
         assert ds.samples.max() < 31
+
+
+class TestDatasetRange:
+    @pytest.mark.parametrize("dims,row,dim", [
+        ((2, 5, 4), (0, 5, 3), 1),
+        ((2, 5, 4), (-1, 0, 3), 0),
+        ((2, 5, 4), (1, 0, 4), 2),
+        ((2, 5, 4), (2, 6, -2), 0),
+        ((5, 5, 5), (4, 4, 5), 2),
+        ((5, 5, 5), (0, -3, 0), 1),
+    ])
+    def test_out_of_range_names_first_bad_dimension(self, dims, row, dim):
+        samples = np.array([[1, 4, 3], row, [0, 0, 0]])
+        with pytest.raises(ValueError, match=f"out of range in dimension {dim}$"):
+            Dataset(DiscreteSpace(dims), samples, name="t", seed=0)
+
+    def test_bounds_are_inclusive_below_exclusive_above(self):
+        space = DiscreteSpace((2, 5, 4))
+        ds = Dataset(space, [[0, 0, 0], [1, 4, 3]], name="t", seed=0)
+        assert ds.samples.dtype == np.int64
+        Dataset(space, np.empty((0, 3), dtype=np.int64), name="empty", seed=0)
 
 
 class TestTabularCsv:
