@@ -164,10 +164,10 @@ def bernoulli_log_lik(logits, x) -> Tensor:
     ld, xd = _data(logits), _data(x)
     per_dim = ld * xd
     per_dim -= np.maximum(ld, 0.0) + np.log1p(np.exp(-np.abs(ld)))  # softplus(l)
-    s = 1.0 / (1.0 + np.exp(-np.clip(ld, -500, 500)))
 
     def vjp(g):
         ge = g[:, None]
+        s = 1.0 / (1.0 + np.exp(-np.clip(ld, -500, 500)))  # sigmoid(l), only read here
         return (ge * xd - ge * s,)
 
     return Tensor(per_dim.sum(axis=1), (_maybe(logits),), vjp)

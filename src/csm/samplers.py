@@ -19,7 +19,9 @@ order for chains and cycles), draws a length log-uniformly on 1..n-1 for
 a line of n cells, and proposes the state that many cells along it.
 Paths that run off a drop boundary or a chain end are rejected; otherwise
 the acceptance is min(1, ratio), with no degree correction since the
-proposal is symmetric. Other structures propose one neighbor uniformly
+proposal is symmetric. Each block of ``BLOCK`` steps draws its uniforms as
+one (n, 4) array and prepares lines and lengths in numpy; one scalar loop
+then walks flat indices. Other structures propose one neighbor uniformly
 among states adjacent in either direction and include the proposal-degree
 correction. A NaN ratio anywhere raises :class:`NaNRatioError`.
 
@@ -36,6 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import NeighborhoodStructure, State, csr_rows, is_weakly_connected
+
+BLOCK = 1 << 14  # MH steps prepared and recorded at a time
 
 
 class NaNRatioError(FloatingPointError):
@@ -67,16 +71,6 @@ def _check_nan(structure, values: np.ndarray):
         raise NaNRatioError(f"NaN density ratio on edge {structure.space.state_of(u)} -> {there}")
 
 
-def _log_mass_ratio(score_model, structure):
-    """ratio(here, there) = q(there) / q(here) from one log-mass pass over the space."""
-    lm = score_model.log_mass_unnorm(structure.space.all_states())
-    indptr, dst, _, _ = structure.undirected_view()
-    with np.errstate(invalid="ignore"):
-        _check_nan(structure, lm[dst] - lm[csr_rows(indptr)[0]])
-    lm = lm.tolist()
-    return lambda here, there: math.exp(lm[there] - lm[here])
-
-
 def _edge_ratio_table(score_model, structure) -> np.ndarray:
     """Density ratio for every undirected-view entry, from one block read of the
     score over the space: a forward entry reads its source's score vector, a
@@ -92,12 +86,9 @@ def _edge_ratio_table(score_model, structure) -> np.ndarray:
 
 
 def _path_lines(structure: NeighborhoodStructure) -> list[tuple[int, int, bool]] | None:
-    """(stride, cells, wraps) of each line path proposals follow, or None.
-
-    A grid has one line per dimension; a binary dimension always wraps,
-    since both of its moves are the same bit flip. Chains and cycles have
-    the single flat-order line.
-    """
+    """(stride, cells, wraps) of each line path proposals follow, or None: one
+    per grid dimension (a binary one always wraps, both its moves being the
+    same bit flip), or the single flat-order line of a chain or cycle."""
     space = structure.space
     if structure.kind in ("chain", "cycle"):
         return [(1, space.total_states, structure.kind == "cycle")]
@@ -109,11 +100,9 @@ def _path_lines(structure: NeighborhoodStructure) -> list[tuple[int, int, bool]]
 
 
 def _unit_step_ratios(structure, ratios: np.ndarray, lines) -> np.ndarray:
-    """Ratio of the one-cell step from every state along every line, both signs.
-
-    Entry [a, j, u] is the undirected-view ratio from u to the state one
-    cell along line a in sign (+1, -1)[j]. Steps off a drop boundary have
-    no entry; they are never read and hold 0.
+    """Ratio of the one-cell step from every state along every line, both signs:
+    entry [a, j, u] is the undirected-view ratio from u to the state one cell
+    along line a in sign (+1, -1)[j]. Steps off a drop boundary hold 0, unread.
     """
     indptr, dst, _, _ = structure.undirected_view()
     n = structure.space.total_states
@@ -132,56 +121,66 @@ def _unit_step_ratios(structure, ratios: np.ndarray, lines) -> np.ndarray:
     return out
 
 
-def _uniform_rows(rng: np.random.Generator, steps: int):
-    """The rows of rng.random((steps, 4)), drawn 16,384 at a time: the same
-    stream as one random(3) and one random() per step."""
-    for start in range(0, steps, 1 << 14):
-        yield from rng.random((min(1 << 14, steps - start), 4)).tolist()
+def _path_walk(lines, rng, lm, step_ratios):
+    """Path proposals: (here, n) -> (state after each of n steps, final state,
+    accepted). Each step reads one row of rng.random((n, 4)); its ratio is
+    exp(lm[there] - lm[here]) for log masses ``lm``, else the product of the
+    path's unit-step ratios."""
+    cells = np.array([c for _, c, _ in lines])
+    log_cells = np.array([math.log(c) for _, c, _ in lines])
+    items = [(stride, c, wrap, a) for a, (stride, c, wrap) in enumerate(lines)]
+    exp = math.exp
+
+    def walk(here: int, n: int) -> tuple[list[int], int, int]:
+        u_line, u_sign, u_len, u_acc = rng.random((n, 4)).T
+        a = (u_line * len(lines)).astype(np.int64)
+        # floor(cells ** u), log-uniform on 1..cells-1; math.exp, as np.exp can be an ulp off
+        length = np.fromiter(map(exp, (u_len * log_cells[a]).tolist()), np.float64, n)
+        length = np.minimum(length.astype(np.int64), cells[a] - 1)
+        signed = np.where(u_sign < 0.5, length, -length).tolist()
+        trace, accepted = [], 0
+        for (stride, c, wrap, i), d, u in zip(map(items.__getitem__, a.tolist()), signed,
+                                               u_acc.tolist()):
+            v = here // stride % c
+            if wrap or 0 <= v + d < c:
+                there = here + ((v + d) % c - v) * stride
+                if lm is not None:
+                    ratio = exp(lm[there] - lm[here])
+                else:
+                    sign = 1 if d > 0 else -1
+                    path = here + ((v + np.arange(0, d, sign)) % c - v) * stride
+                    seg = step_ratios[i, (1 - sign) // 2, path]
+                    # a clamped (zero) edge blocks the path even next to an infinite one
+                    ratio = float(seg.prod()) if seg.all() else 0.0
+                if u < ratio:
+                    here, accepted = there, accepted + 1
+            trace.append(here)
+        return trace, here, accepted
+
+    return walk
 
 
-def _path_proposal(lines, rows, density_ratio, step_ratios):
-    """Straight-line path proposal: here -> (there, ratio, acceptance uniform).
-    The ratio is ``density_ratio``'s, else the product of the unit-step ratios."""
-    log_cells = [math.log(cells) for _, cells, _ in lines]
-    n_lines = len(lines)
-
-    def propose(here: int) -> tuple[int, float, float]:
-        u_line, u_sign, u_len, u = next(rows)
-        a = int(u_line * n_lines)
-        stride, cells, wrap = lines[a]
-        sign = 1 if u_sign < 0.5 else -1
-        # floor(cells ** u): log-uniform on 1..cells-1 (the min guards rounding)
-        length = min(int(math.exp(u_len * log_cells[a])), cells - 1)
-        v = (here // stride) % cells
-        if not wrap and not 0 <= v + sign * length < cells:
-            return here, 0.0, u
-        there = here + ((v + sign * length) % cells - v) * stride
-        if density_ratio is not None:
-            return there, density_ratio(here, there), u
-        path = here + ((v + sign * np.arange(length)) % cells - v) * stride
-        seg = step_ratios[a, (1 - sign) // 2, path]
-        # a clamped (zero) edge blocks the path even next to an infinite one
-        return there, float(seg.prod()) if seg.all() else 0.0, u
-
-    return propose
-
-
-def _single_step_proposal(structure, rng, density_ratio, ratios):
-    """Uniform undirected-neighbor proposal: here -> (there, degree-corrected
-    ratio, acceptance uniform)."""
+def _neighbor_walk(structure, rng, lm, ratios):
+    """Uniform undirected-neighbor proposals, degree-corrected, with one
+    ``integers`` then one ``random`` draw per step; as :func:`_path_walk`."""
     indptr, dst, _, _ = structure.undirected_view()
     degs = np.diff(indptr)
 
-    def propose(here: int) -> tuple[int, float, float]:
-        deg = degs[here]
-        if deg == 0:
-            raise ValueError(f"state {structure.space.state_of(here)} has no neighbors to propose")
-        k = indptr[here] + rng.integers(0, deg)
-        there = int(dst[k])
-        ratio = density_ratio(here, there) if density_ratio is not None else ratios[k]
-        return there, ratio * deg / degs[there], rng.random()
+    def walk(here: int, n: int) -> tuple[list[int], int, int]:
+        trace, accepted = [], 0
+        for _ in range(n):
+            deg = degs[here]
+            if deg == 0:
+                raise ValueError(f"state {structure.space.state_of(here)} has no neighbors to propose")
+            k = indptr[here] + rng.integers(0, deg)
+            there = int(dst[k])
+            ratio = math.exp(lm[there] - lm[here]) if lm is not None else ratios[k]
+            if rng.random() < ratio * deg / degs[there]:
+                here, accepted = there, accepted + 1
+            trace.append(here)
+        return trace, here, accepted
 
-    return propose
+    return walk
 
 
 def run_chain(
@@ -198,12 +197,14 @@ def run_chain(
 
     Chain, cycle and grid structures use straight-line path proposals,
     other kinds the single-step undirected proposal (see the module
-    docstring). A density model costs one ``log_mass_unnorm`` pass over
-    the space per call and O(1) per step; any other model costs one
-    ``score_vector`` read over the space per call, and a path
-    costs time proportional to its length. Negative ratios (score entries
-    under -1) are clamped to zero and counted in ``clamped``; a NaN ratio
-    anywhere raises :class:`NaNRatioError` before the first step.
+    docstring). A call costs one ``log_mass_unnorm`` pass over the space
+    for a density model, else one ``score_vector`` read. Path proposals
+    draw ``rng.random((n, 4))`` per block of n <= ``BLOCK`` steps, then
+    walk: O(1) per step for a density model, else time proportional to the
+    path's length. Negative ratios (score entries under -1) are clamped to
+    zero and counted in ``clamped``; a NaN ratio anywhere raises
+    :class:`NaNRatioError` before the first step. Only a non-finite log
+    mass can give one, so only then are a density model's edges read.
 
     Keeps every ``thin``-th state after ``burn_in`` steps; ``steps=0``
     returns just the initial state. Refuses to start on a structure whose
@@ -224,29 +225,30 @@ def run_chain(
         return np.asarray([init], dtype=np.int64), ChainState(current=init)
 
     lines = _path_lines(structure)
-    density_ratio = ratios = step_ratios = None
+    lm = ratios = step_ratios = None
     clamped = 0
     if hasattr(score_model, "log_mass_unnorm"):
-        density_ratio = _log_mass_ratio(score_model, structure)
+        lm = score_model.log_mass_unnorm(space.all_states())
+        if not np.isfinite(lm).all():  # a finite log mass gives no NaN difference
+            indptr, dst, _, _ = structure.undirected_view()
+            with np.errstate(invalid="ignore"):
+                _check_nan(structure, lm[dst] - lm[csr_rows(indptr)[0]])
+        lm = memoryview(lm)  # O(1) float reads, with no whole-space tolist
     else:
         ratios = _edge_ratio_table(score_model, structure)
         clamped = int((ratios < 0).sum())
         ratios = np.maximum(ratios, 0.0)
         if lines is not None:
             step_ratios = _unit_step_ratios(structure, ratios, lines)
-    if lines is None:
-        propose = _single_step_proposal(structure, rng, density_ratio, ratios)
-    else:
-        propose = _path_proposal(lines, _uniform_rows(rng, steps), density_ratio, step_ratios)
+    walk = (_neighbor_walk(structure, rng, lm, ratios) if lines is None
+            else _path_walk(lines, rng, lm, step_ratios))
 
-    kept: list[int] = []
-    here, accepted = space.index_of(init), 0
-    for step in range(1, steps + 1):
-        there, ratio, u = propose(here)
-        if u < ratio:
-            here, accepted = there, accepted + 1
-        if step > burn_in and (step - burn_in) % thin == 0:
-            kept.append(here)
+    here, accepted, kept = space.index_of(init), 0, []
+    for start in range(0, steps, BLOCK):
+        trace, here, block_accepted = walk(here, min(BLOCK, steps - start))
+        accepted += block_accepted
+        first = burn_in + thin - 1 - start  # trace index of step burn_in + thin
+        kept.extend(trace[max(first, first % thin)::thin])
     chain = ChainState(space.state_of(here), steps, accepted, steps, clamped)
     return space.states_of(np.asarray(kept, dtype=np.int64)), chain
 
@@ -270,12 +272,10 @@ def run_annealed(
         raise ValueError("need at least one score model")
     rng = rng if rng is not None else np.random.default_rng(seed)
     current = structure.space.validate_state(init)
-    samples = None
-    chain = None
+    samples = chain = None
     for model in score_models:
-        samples, chain = run_chain(
-            model, structure, current, steps_per_level, burn_in=burn_in, thin=thin, rng=rng
-        )
+        samples, chain = run_chain(model, structure, current, steps_per_level,
+                                   burn_in=burn_in, thin=thin, rng=rng)
         current = chain.current
     return samples, chain
 

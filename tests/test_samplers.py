@@ -290,6 +290,22 @@ class TestDensityNaNContract:
         self._raises_before_first_step(
             model, build_structure("chain", space), r"edge \(9,\) -> \(10,\)")
 
+    def test_single_minus_inf_logit_is_never_kept(self):
+        """-inf beside finite logits gives no NaN difference: the chain runs,
+        and a zero ratio never moves it onto that state."""
+        space = DiscreteSpace((20,))
+        model = LogitTableModel(space)
+        model.params["logits"].data[10] = -np.inf
+        samples, chain = run_chain(model, build_structure("cycle", space), (0,), 20_000, seed=41)
+        assert chain.accepted > 0 and 10 not in samples[:, 0]
+
+    def test_adjacent_plus_inf_logits_name_their_edge(self):
+        space = DiscreteSpace((20,))
+        model = LogitTableModel(space)
+        model.params["logits"].data[[4, 5]] = np.inf
+        self._raises_before_first_step(
+            model, build_structure("chain", space), r"edge \(4,\) -> \(5,\)")
+
 
 class TestDifferential:
     """run_chain against the scalar reference kernel: same seeds, same output."""
@@ -307,6 +323,32 @@ class TestDifferential:
             np.testing.assert_array_equal(structure.space.indices_of(samples), kept)
             assert (chain.accepted, chain.proposed, chain.clamped) == (accepted, 2000, clamped)
         assert clamped == (4 if name == "score-net-cycle" else 0)
+
+    BLOCK_CASES = [c for c in CASES if c[0] in ("logit-grid-wrap-2d", "score-net-cycle")]
+
+    @pytest.mark.parametrize("name, model, structure", BLOCK_CASES,
+                             ids=[c[0] for c in BLOCK_CASES])
+    def test_matches_scalar_reference_across_blocks(self, name, model, structure):
+        """40,000 steps cross two 16,384-step blocks; neither burn_in nor
+        thin lines up with a block."""
+        init = (0,) * structure.space.ndim
+        samples, chain = run_chain(model, structure, init, 40_000, burn_in=1_001, thin=7, seed=9)
+        kept, accepted, clamped = _reference_chain(model, structure, init, 40_000, 1_001, 7, 9)
+        np.testing.assert_array_equal(structure.space.indices_of(samples), kept)
+        assert (chain.accepted, chain.clamped) == (accepted, clamped)
+        assert len(kept) == (40_000 - 1_001) // 7
+
+    @pytest.mark.parametrize("steps", [1, 2_000, 40_000])
+    def test_path_chain_draws_one_row_of_four_per_step(self, steps):
+        """A path-proposal chain leaves its generator where random((steps, 4))
+        would, so annealed levels and seeded callers see the same stream."""
+        space = DiscreteSpace((6, 5))
+        g = np.random.default_rng(50)
+        run_chain(_random_logit_model(space, 51), build_structure("grid", space), (0, 0),
+                  steps, rng=g)
+        fresh = np.random.default_rng(50)
+        fresh.random((steps, 4))
+        assert g.random() == fresh.random()
 
 
 class TestAnnealed:
