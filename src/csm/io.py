@@ -32,8 +32,7 @@ def atomic_write(path, text: str) -> None:
 
 def write_samples_csv(path, samples: np.ndarray) -> None:
     """One state per line, coordinates comma-separated."""
-    samples = np.asarray(samples, dtype=np.int64)
-    lines = [",".join(str(v) for v in row) for row in samples]
+    lines = [",".join(map(str, row)) for row in np.asarray(samples, dtype=np.int64).tolist()]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -7,6 +7,11 @@ import numpy as np
 import pytest
 
 from csm.data import (
+    BACKGROUND_MIX,
+    CHECKER_BLUR_BINS,
+    CHECKER_CELLS,
+    DRAW_CHUNK,
+    FIELD_HALF_WIDTH,
     Dataset,
     gen_1d_toy,
     gen_2d_toy,
@@ -15,7 +20,56 @@ from csm.data import (
 )
 from csm.exact import TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace
-from csm.io import write_samples_csv
+from csm.io import atomic_write, write_samples_csv
+
+
+def _reference_checkerboard(n, seed, bins=91):
+    """The one-shot checkerboard draw, background mix and quantizer that the
+    chunked ones replace: whole-array RNG calls in the same order."""
+    rng = np.random.default_rng(seed)
+    on = [(i, j) for i in range(CHECKER_CELLS) for j in range(CHECKER_CELLS) if (i + j) % 2 == 0]
+    u = np.asarray(on, dtype=np.float64)[rng.integers(0, len(on), size=n)]
+    u += rng.random((n, 2))
+    u /= CHECKER_CELLS
+    z = rng.standard_normal((n, 2))
+    z *= CHECKER_BLUR_BINS / bins
+    u += z
+    u *= 2.0
+    u -= 1.0
+    u *= FIELD_HALF_WIDTH
+    background = rng.random(n) < BACKGROUND_MIX
+    u[background] = (rng.random((int(background.sum()), 2)) * 2.0 - 1.0) * FIELD_HALF_WIDTH
+    u += FIELD_HALF_WIDTH
+    u /= 2.0 * FIELD_HALF_WIDTH
+    u *= bins
+    np.floor(u, out=u)
+    return np.clip(u.astype(np.int64), 0, bins - 1)
+
+
+def _reference_load(path, header=False):
+    """The per-value ``int()`` line loop that the byte-level parse replaces."""
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if header and lineno == 1:
+                continue
+            line = raw.strip()
+            if not line:
+                continue
+            values = [int(v) for v in line.split(",")]
+            assert all(v in (0, 1) for v in values)
+            assert width is None or len(values) == width
+            width = len(values)
+            rows.append(values)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def _reference_write(path, samples):
+    """The numpy-row writer that the ``tolist`` one replaces."""
+    samples = np.asarray(samples, dtype=np.int64)
+    lines = [",".join(str(v) for v in row) for row in samples]
+    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 class TestToy1D:
@@ -98,7 +152,8 @@ class TestToy2D:
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
     def test_checkerboard_peak_memory(self):
-        """The draw holds at most one float temporary beside its output."""
+        """The draw peaks at the corner gather, the int64 cell indices beside
+        the float points: 1.5x the output, which is floored in place."""
         gen_2d_toy("checkerboard", 1_000, seed=0)  # first-call set-up out of the trace
         tracemalloc.start()
         try:
@@ -106,7 +161,15 @@ class TestToy2D:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * ds.samples.nbytes, peak / ds.samples.nbytes
+        assert peak <= 1.6 * ds.samples.nbytes, peak / ds.samples.nbytes
+
+    @pytest.mark.parametrize("n", [5, 2 * DRAW_CHUNK + 3], ids=["n5", "two-chunks-plus-3"])
+    def test_chunked_checkerboard_matches_one_shot_draw(self, n):
+        """Chunked draws take the stream of one whole call, chunk by chunk."""
+        expected = _reference_checkerboard(n, seed=7)
+        ds = gen_2d_toy("checkerboard", n, seed=7)
+        np.testing.assert_array_equal(ds.samples, expected)
+        assert ds.samples.dtype == np.int64 and ds.samples.flags.c_contiguous
 
     def test_custom_bins(self):
         ds = gen_2d_toy("rings", 1000, bins=31, seed=0)
@@ -169,3 +232,81 @@ class TestTabularCsv:
         write_samples_csv(path, ds.samples)
         back = load_tabular_csv(path)
         np.testing.assert_array_equal(back.samples, ds.samples)
+
+    @pytest.mark.parametrize("width", [1, 2, 12])
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("style", ["plain", "crlf", "blanks", "spaced", "no-final-newline"])
+    def test_matches_line_loop(self, tmp_path, width, header, style):
+        """Generated files load to the same array as the ``int()`` line loop."""
+        rng = np.random.default_rng(width * 10 + header)
+        bits = rng.integers(0, 2, size=(40, width))
+        sep = " , " if style == "spaced" else ","
+        lines = [sep.join(map(str, row)) for row in bits.tolist()]
+        if style == "spaced":
+            lines = [f"\t{line}  " for line in lines]
+        if style == "blanks":
+            for at in (0, 7, 7, 20):
+                lines.insert(at, " \t " if at == 7 else "")
+        if header:
+            lines.insert(0, ",".join(f"x{k}" for k in range(width)))
+        text = ("\r\n" if style == "crlf" else "\n").join(lines)
+        text += "" if style == "no-final-newline" else "\r\n" if style == "crlf" else "\n"
+        path = tmp_path / "gen.csv"
+        path.write_bytes(text.encode())
+        got = load_tabular_csv(path, header=header).samples
+        np.testing.assert_array_equal(got, _reference_load(path, header=header))
+        np.testing.assert_array_equal(got, bits)
+        assert got.dtype == np.int64
+
+    @pytest.mark.parametrize("bad,problem", [
+        ("0,x,1", "non-integer value"),
+        ("0,1,2", "non-binary value"),
+        ("0,1", "ragged row of length 2, expected 3"),
+        ("1,0,1,1", "ragged row of length 4, expected 3"),
+        ("1,,0", "non-integer value"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, bad, problem):
+        """The bad line sits after a header, a blank line and two good rows;
+        later bad lines do not change the message."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b,c\n\n0,1,1\n 1 , 0 , 0\n{bad}\n0,2\n1\n")
+        with pytest.raises(ValueError) as exc:
+            load_tabular_csv(path, header=True)
+        assert str(exc.value) == f"{path}:5: {problem}"
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "a,b\n", "a,b\n\n\t\n"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_tabular_csv(path, header=text.startswith("a"))
+        assert str(exc.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("field,problem", [
+        ("+1", "non-integer value"),
+        ("1_0", "non-integer value"),
+        ("\u0661", "non-integer value"),  # ARABIC-INDIC DIGIT ONE
+        ("01", "non-binary value"),
+        ("-1", "non-binary value"),
+    ])
+    def test_only_single_ascii_digits(self, tmp_path, field, problem):
+        """Spellings ``int()`` reads as 0 or 1 but that are not a lone digit."""
+        path = tmp_path / "spelling.csv"
+        path.write_text(f"0,1\n1,{field}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_tabular_csv(path)
+        assert str(exc.value) == f"{path}:2: {problem}"
+
+
+class TestSamplesCsv:
+    def test_bytes_match_row_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        samples = rng.integers(0, 1000, size=(300, 3))
+        samples[0] = [0, 9, 10]
+        write_samples_csv(tmp_path / "new.csv", samples)
+        _reference_write(tmp_path / "old.csv", samples)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_block_writes_empty_file(self, tmp_path):
+        write_samples_csv(tmp_path / "e.csv", np.empty((0, 2), dtype=np.int64))
+        assert (tmp_path / "e.csv").read_bytes() == b""
