@@ -6,10 +6,11 @@ sorts the tape and accumulates exact gradients into every reachable
 tensor's ``grad``; ``backward(seed)`` starts from dL/d(tensor) for a loss
 L computed in numpy. The first gradient to reach a tensor is stored as it
 is, later ones are added out of place. Non-Tensor operands are treated
-as constants. The op set is deliberately small: elementwise arithmetic,
-exp, a dense tanh layer, the Bernoulli log-likelihood of logits, gathers,
-the ratio exp(a[hi] - a[lo]) - 1, reductions and log-sum-exp, which is
-everything the models and objectives here need.
+as constants. The models use ``mul``, ``sub``, ``dense`` (one tanh
+layer), ``bernoulli_log_lik``, ``gather``, ``take_pairs``, ``ratio_m1``
+(exp(a[hi] - a[lo]) - 1), ``reshape``, ``logsumexp`` and ``log_softmax``;
+the objectives seed the pass at one model read. ``add``, ``texp``,
+``square`` and ``tsum`` serve the tests' whole-tape reference forms.
 """
 
 from __future__ import annotations
@@ -118,12 +119,6 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
     return Tensor(ad * bd, (_maybe(a), _maybe(b)), vjp)
-
-
-def pow_const(a, exponent: float) -> Tensor:
-    ad = _data(a)
-    e = float(exponent)
-    return Tensor(ad**e, (_maybe(a),), lambda g: (g * e * ad ** (e - 1.0),))
 
 
 def square(a) -> Tensor:
@@ -249,13 +244,6 @@ def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     return sub(a, logsumexp(a, axis=axis, keepdims=True))
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """Clamp from below; gradient flows only through unclamped entries."""
-    ad = _data(a)
-    mask = ad > floor
-    return Tensor(np.maximum(ad, floor), (_maybe(a),), lambda g: (g * mask,))
 
 
 class Adam:

@@ -33,6 +33,7 @@ call; floored in place, the checkerboard peaks at 1.5x its int64 output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,8 +216,9 @@ def _sample_spirals(n: int, rng: np.random.Generator) -> np.ndarray:
     return _spiral_centers(t, arm) + SPIRAL_SIGMA * rng.standard_normal((n, 2))
 
 
+@functools.cache
 def _quadrature_masses(density_fn, bins: int) -> np.ndarray:
-    """Midpoint-rule bin masses of a smooth density, renormalized."""
+    """Midpoint-rule bin masses of a smooth density, renormalized; cached, read-only."""
     step = 2.0 * FIELD_HALF_WIDTH / bins
     offsets = (np.arange(QUAD_SUBDIV) + 0.5) / QUAD_SUBDIV
     centers_1d = -FIELD_HALF_WIDTH + step * (np.arange(bins)[:, None] + offsets[None, :])
@@ -224,7 +226,9 @@ def _quadrature_masses(density_fn, bins: int) -> np.ndarray:
     grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
     dens = density_fn(grid).reshape(bins, QUAD_SUBDIV, bins, QUAD_SUBDIV)
     mass = dens.mean(axis=(1, 3)).reshape(-1)
-    return mass / mass.sum()
+    mass /= mass.sum()
+    mass.flags.writeable = False
+    return mass
 
 
 def gen_2d_toy(name: str, n: int, bins: int = 91, seed: int = 0) -> Dataset:

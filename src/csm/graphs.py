@@ -144,6 +144,14 @@ class DiscreteSpace:
         x = np.asarray(x, dtype=np.int64)
         return self.states_of(x) if x.ndim == 1 else x
 
+    def substitutions(self, states: np.ndarray, d: int) -> np.ndarray:
+        """Each of ``states`` (b, D) with coordinate d set to 0, ..., n - 1 in
+        turn, n = dims[d]: rows (b * n, D), laid out as (b, n)."""
+        n = self.dims[d]
+        tiled = np.repeat(states, n, axis=0)
+        tiled[:, d] = np.tile(np.arange(n), len(states))
+        return tiled
+
     def all_states(self) -> np.ndarray:
         """Every state as an (n, D) array in flat-index order (cached)."""
         if self._state_table is None:

@@ -48,6 +48,16 @@ def _mlp_t(h, weights: Sequence, biases: Sequence) -> Tensor:
     return h
 
 
+def _distinct_rows(space: DiscreteSpace, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, inverse): the distinct rows of a block of states (m, D), in flat
+    order, and the index of each state among them, so ``rows[inverse]`` is
+    ``states``. Beyond int64 flat indices every state is its own row."""
+    if space.total_states > 2**63:
+        return states, np.arange(len(states))
+    _, first, inverse = np.unique(space.indices_of(states), return_index=True, return_inverse=True)
+    return states[first], inverse
+
+
 class ScoreModel:
     """Base of every model: the score surface built on ``score_entries_t``."""
 
@@ -105,12 +115,9 @@ class DensityModel(ScoreModel):
         space = structure.space
         states, m = space.as_states(states), len(states)
         nbr = structure.neighbor_states_at(states, positions) if dst is None else space.states_of(dst)
-        pair = np.concatenate([nbr, states])
-        if space.total_states > 2**63:  # beyond int64 flat indices
-            return ad.ratio_m1(self.log_mass_unnorm_t(pair), np.arange(m), np.arange(m, 2 * m))
         # one log-mass row per distinct state: sources and batch states repeat
-        _, first, inv = np.unique(space.indices_of(pair), return_index=True, return_inverse=True)
-        return ad.ratio_m1(self.log_mass_unnorm_t(pair[first]), inv[:m], inv[m:])
+        rows, inv = _distinct_rows(space, np.concatenate([nbr, states]))
+        return ad.ratio_m1(self.log_mass_unnorm_t(rows), inv[:m], inv[m:])
 
     def conditional_log_probs_t(self, states: np.ndarray, d: int) -> Tensor:
         """Full conditionals log q(value | other coords) for dimension d.
@@ -119,12 +126,8 @@ class DensityModel(ScoreModel):
         d and log-normalizes, shape (batch, dims[d]).
         """
         states = np.asarray(states, dtype=np.int64)
-        n_d = self.space.dims[d]
-        b = states.shape[0]
-        tiled = np.repeat(states, n_d, axis=0)
-        tiled[:, d] = np.tile(np.arange(n_d), b)
-        lm = self.log_mass_unnorm_t(tiled)
-        return ad.log_softmax(ad.reshape(lm, (b, n_d)), axis=1)
+        lm = self.log_mass_unnorm_t(self.space.substitutions(states, d))
+        return ad.log_softmax(ad.reshape(lm, (len(states), -1)), axis=1)
 
 
 class LogitTableModel(DensityModel):
@@ -238,9 +241,8 @@ class ScoreNetModel(ScoreModel):
         deg = structure.uniform_degree()
         if deg != self.degree:
             raise ValueError(f"score net emits {self.degree} entries but structure degree is {deg}")
-        states = structure.space.as_states(states)
-        out = self.forward_t(self.encode(states))
-        return ad.take_pairs(out, np.arange(states.shape[0]), np.asarray(positions, dtype=np.int64))
+        rows, inv = _distinct_rows(structure.space, structure.space.as_states(states))
+        return ad.take_pairs(self.forward_t(self.encode(rows)), inv, np.asarray(positions, dtype=np.int64))
 
     def config(self) -> dict:
         return {

@@ -9,13 +9,16 @@ the denoising variant built on a per-dimension categorical noise
 kernel, the corrected and original ratio-matching and marginalization
 baselines, and plain negative log-likelihood.
 
+Every objective makes one model read and computes its value and
+dL/d(read) in numpy; :func:`_finalize` seeds the backward pass there. The
+read is the score entries c, the log-mass of every dimension's
+substitution rows for the conditional baselines, or ``log_mass_t`` for NLL.
+
 Every Concrete-score-matching objective other than the l2 loss is an
 edge selection plus one kernel. The selection is numpy only: the edges
 (src, pos) and per-edge weights alpha on J1 and beta on J2. The kernel,
 :func:`_weighted_j`, evaluates sum alpha (c^2 + 2c) - 2 beta c with one
-score-entry call; the J2 estimators return its negation, +J2. It and the
-squared-error losses compute their value and dL/dc in numpy and seed the
-backward pass at the score entries c, so the tape ends there. Those
+score-entry call; the J2 estimators return its negation, +J2. Those
 objectives report ``edges`` (selected edges), ``j1`` and ``j2`` in
 ``meta``, with ``batch`` and the counts of batch states with nothing to
 select, which contribute zero: ``j1_skipped_empty`` (no out-edges),
@@ -30,11 +33,11 @@ context each needs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .exact import TabularDistribution
 from .graphs import DiscreteSpace, NeighborhoodStructure, ReverseIndex
@@ -103,19 +106,19 @@ class NoiseKernel:
 # shared plumbing
 
 
-def _finalize(model, out: Tensor, meta: dict, value=None, seed=None) -> ObjectiveValue:
-    """The objective and its parameter gradients. ``out`` is the scalar loss
-    on the tape or, given ``seed`` = dL/d(out), the tensor from which the
-    loss ``value`` was computed in numpy; the backward pass starts there."""
+def _finalize(model, read: Tensor, meta: dict, value: float, seed: np.ndarray) -> ObjectiveValue:
+    """The objective ``value``, computed in numpy from the model read ``read``,
+    and its parameter gradients: the backward pass starts at the read, seeded
+    by ``seed`` = dL/d(read)."""
     params = model.params
     for p in params.values():
         p.grad = None
-    out.backward(seed)
+    read.backward(seed)
     grads = {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
-    return ObjectiveValue(value=float(out.data) if seed is None else value, grads=grads, meta=meta)
+    return ObjectiveValue(value=value, grads=grads, meta=meta)
 
 
 def _weighted_j(model, structure, selections, meta: dict, sign: float = 1.0, dst=None) -> ObjectiveValue:
@@ -344,80 +347,71 @@ def dcsm_loss_exact(model, p: TabularDistribution, kernel: NoiseKernel, structur
 # conditional baselines and likelihood
 
 
-def _conditional_terms(model, batch: np.ndarray, d: int):
-    clp = model.conditional_log_probs_t(batch, d)
-    q = ad.texp(clp)
-    q_obs = ad.take_pairs(q, np.arange(batch.shape[0]), batch[:, d])
-    return q, q_obs
+def _conditional_loss(model, minibatch: np.ndarray, variant: str, terms) -> ObjectiveValue:
+    """A conditional baseline from one log-mass read over every dimension's
+    substitution rows, (b, dims[d]) for each d in turn, whose row softmaxes are
+    the conditionals q. For one dimension, ``terms(q, t)`` gives the summed
+    value, g = dL/dq and counts added up in meta, with t the one-hot observed
+    value under ``fixed`` and 1 under ``original``. The value is the batch
+    mean; the read is seeded through the softmax, by q (g - sum_row q g) / b."""
+    if variant not in ("fixed", "original"):
+        raise ValueError(f"unknown variant {variant!r}")
+    batch = np.asarray(minibatch, dtype=np.int64)
+    space, b = model.space, batch.shape[0]
+    read = model.log_mass_unnorm_t(np.concatenate([space.substitutions(batch, d) for d in range(space.ndim)]))
+    value, seed, meta = 0.0, [], Counter()
+    for d, lm in enumerate(np.split(read.data, np.cumsum(np.multiply(space.dims, b))[:-1])):
+        lm = lm.reshape(b, -1)
+        e = np.exp(lm - lm.max(axis=1, keepdims=True))
+        q = e / e.sum(axis=1, keepdims=True)
+        part, g, counts = terms(q, np.arange(space.dims[d]) == batch[:, d, None] if variant == "fixed" else 1.0)
+        value += part
+        meta.update(counts)
+        qg = q * g
+        seed.append((qg - q * qg.sum(axis=1, keepdims=True)).ravel())
+    meta = {"batch": b, "dims": space.ndim, "variant": variant, **meta}
+    return _finalize(model, read, meta, value / b, np.concatenate(seed) / b)
 
 
 def ratio_matching_loss(model, minibatch: np.ndarray, variant: str = "fixed") -> ObjectiveValue:
-    """Squared-conditional ratio matching over every dimension.
+    """Squared-conditional ratio matching over every dimension, sum (q - t)^2.
 
     ``fixed`` is the corrected objective (1 - q(x_d|rest))^2 plus the sum
     of squared off-value conditionals; ``original`` is the degenerate
-    published form whose minimizer is the uniform conditional regardless
+    published form, whose minimizer is the uniform conditional regardless
     of the data, kept only as a baseline.
     """
-    if variant not in ("fixed", "original"):
-        raise ValueError(f"unknown variant {variant!r}")
-    batch = np.asarray(minibatch, dtype=np.int64)
-    b = batch.shape[0]
-    total: Tensor | None = None
-    for d in range(model.space.ndim):
-        q, q_obs = _conditional_terms(model, batch, d)
-        if variant == "fixed":
-            term = ad.add(
-                ad.square(ad.sub(1.0, q_obs)),
-                ad.sub(ad.tsum(ad.square(q), axis=1), ad.square(q_obs)),
-            )
-        else:
-            term = ad.tsum(ad.square(ad.sub(1.0, q)), axis=1)
-        total = term if total is None else ad.add(total, term)
-    loss = ad.mul(ad.tsum(total), 1.0 / b)
-    return _finalize(model, loss, {"batch": b, "dims": model.space.ndim, "variant": variant})
+    def terms(q, t):
+        diff = q - t
+        return float((diff * diff).sum()), 2.0 * diff, {}
+
+    return _conditional_loss(model, minibatch, variant, terms)
 
 
-def marginalization_loss(
-    model, minibatch: np.ndarray, variant: str = "fixed", floor: float = COND_FLOOR
-) -> ObjectiveValue:
-    """Inverse-conditional marginalization objective.
+def marginalization_loss(model, minibatch: np.ndarray, variant: str = "fixed") -> ObjectiveValue:
+    """Inverse-conditional marginalization objective, sum t/q^2 - 2/q.
 
-    The 1/q^2 terms explode as conditionals approach zero, so they are
-    clamped at ``floor`` (clamp events are counted in meta). ``original``
-    keeps the degenerate published form.
+    ``fixed`` weighs 1/q^2 at the observed value only; ``original`` keeps
+    the degenerate published form, which weighs every value. The terms
+    explode as conditionals approach zero, so q is clamped at
+    ``COND_FLOOR``: a clamped conditional adds nothing to the gradient and
+    is counted in meta ``clamped_conditionals``.
     """
-    if variant not in ("fixed", "original"):
-        raise ValueError(f"unknown variant {variant!r}")
-    batch = np.asarray(minibatch, dtype=np.int64)
-    b = batch.shape[0]
-    total: Tensor | None = None
-    clamped = 0
-    for d in range(model.space.ndim):
-        q, _ = _conditional_terms(model, batch, d)
-        clamped += int((q.data <= floor).sum())
-        qc = ad.clip_min(q, floor)
-        qc_obs = ad.take_pairs(qc, np.arange(b), batch[:, d])
-        if variant == "fixed":
-            term = ad.sub(
-                ad.pow_const(qc_obs, -2.0),
-                ad.tsum(ad.mul(ad.pow_const(qc, -1.0), 2.0), axis=1),
-            )
-        else:
-            term = ad.tsum(
-                ad.sub(ad.pow_const(qc, -2.0), ad.mul(ad.pow_const(qc, -1.0), 2.0)), axis=1
-            )
-        total = term if total is None else ad.add(total, term)
-    loss = ad.mul(ad.tsum(total), 1.0 / b)
-    meta = {"batch": b, "variant": variant, "clamped_conditionals": clamped}
-    return _finalize(model, loss, meta)
+    def terms(q, t):
+        inv = 1.0 / np.maximum(q, COND_FLOOR)
+        live = q > COND_FLOOR
+        g = np.where(live, 2.0 * inv * inv * (1.0 - t * inv), 0.0)
+        return float((inv * (t * inv - 2.0)).sum()), g, {"clamped_conditionals": int(q.size - live.sum())}
+
+    return _conditional_loss(model, minibatch, variant, terms)
 
 
 def nll_loss(model, minibatch: np.ndarray) -> ObjectiveValue:
-    """Mean negative log-likelihood under an exactly normalized model."""
-    batch = np.asarray(minibatch, dtype=np.int64)
-    loss = ad.mul(ad.tsum(model.log_mass_t(batch)), -1.0 / batch.shape[0])
-    return _finalize(model, loss, {"batch": batch.shape[0]})
+    """Mean negative log-likelihood under an exactly normalized model,
+    seeded at its one ``log_mass_t`` read by -1/b."""
+    read = model.log_mass_t(np.asarray(minibatch, dtype=np.int64))
+    b = read.size
+    return _finalize(model, read, {"batch": b}, float(read.data.sum()) * (-1.0 / b), np.full(b, -1.0 / b))
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,9 @@ class TestAcceptance:
         for loss in (
             lambda: obj.nll_loss(mar, bbatch),
             lambda: obj.ratio_matching_loss(mar, bbatch, "fixed"),
+            lambda: obj.ratio_matching_loss(mar, bbatch, "original"),
             lambda: obj.marginalization_loss(mar, bbatch, "fixed"),
+            lambda: obj.marginalization_loss(mar, bbatch, "original"),
             lambda: obj.csm_structured_loss(mar, bbatch, bgrid, np.random.default_rng(5)),
         ):
             worst = max(worst, gradient_check(mar.params, loss,

@@ -13,6 +13,8 @@ from csm.data import (
     DRAW_CHUNK,
     FIELD_HALF_WIDTH,
     Dataset,
+    _quadrature_masses,
+    _rings_density,
     gen_1d_toy,
     gen_2d_toy,
     load_tabular_csv,
@@ -138,6 +140,13 @@ class TestToy2D:
         emp = TabularDistribution.from_samples(ds.space, ds.samples)
         _, tv = kl_and_tv(emp, ds.ground_truth)
         assert tv < 0.03, tv
+
+    def test_quadrature_truth_is_computed_once_and_read_only(self):
+        first = _quadrature_masses(_rings_density, 13)
+        assert _quadrature_masses(_rings_density, 13) is first
+        assert not first.flags.writeable and first.sum() == pytest.approx(1.0, abs=1e-12)
+        truth = gen_2d_toy("rings", 100, bins=13, seed=0).ground_truth.mass
+        np.testing.assert_allclose(truth, (1.0 - BACKGROUND_MIX) * first + BACKGROUND_MIX / 169, rtol=1e-12)
 
     @pytest.mark.parametrize("name,n,seed,digest", [
         ("checkerboard", 200_000, 3, "ab099dc596416f4dcc134d594c39899834584be9757799898f0b47b236cf2fac"),

@@ -201,6 +201,39 @@ class TestScoreNet:
         assert enc.shape == (12, 7)
         np.testing.assert_allclose(enc.sum(axis=1), 2.0)
 
+    @pytest.mark.parametrize("one_hot", [False, True])
+    def test_one_forward_row_per_distinct_state(self, one_hot):
+        """Entries and gradients match a per-entry forward pass to 1e-13, from
+        states or flat indices, with one forward row per distinct state."""
+
+        class Recorder(ScoreNetModel):
+            def forward_t(self, encoded):
+                self.rows = len(encoded)
+                return super().forward_t(encoded)
+
+        space = DiscreteSpace((5, 4))
+        grid = build_structure("grid", space, boundary="wrap")
+        net = Recorder(space, degree=4, hidden=(7, 6), seed=3, one_hot=one_hot)
+        rng = np.random.default_rng(8)
+        flat, pos = rng.integers(0, 6, size=50), rng.integers(0, 4, size=50)
+        seed = rng.standard_normal(50)
+
+        def grads(entries):
+            for p in net.params.values():
+                p.grad = None
+            entries.backward(seed)
+            return {name: p.grad.copy() for name, p in net.params.items()}
+
+        states = space.states_of(flat)
+        ref = ad.take_pairs(ScoreNetModel.forward_t(net, net.encode(states)), np.arange(50), pos)
+        ref_grads = grads(ref)
+        for block in (states, flat):
+            got = net.score_entries_t(grid, block, pos)
+            assert net.rows == np.unique(flat).size
+            assert np.abs(got.data - ref.data).max() <= 1e-13 * np.abs(ref.data).max()
+            for name, grad in grads(got).items():
+                assert np.abs(grad - ref_grads[name]).max() <= 1e-13 * np.abs(ref_grads[name]).max(), name
+
     def test_affine_encoding_range(self):
         space = DiscreteSpace((16, 91))
         net = ScoreNetModel(space, degree=4, seed=0)

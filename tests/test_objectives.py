@@ -353,7 +353,7 @@ class TestDifferential:
 
     @staticmethod
     def assert_same(got, ref_model, ref_loss, rng_got, rng_ref):
-        ref = obj._finalize(ref_model, ref_loss, {})
+        ref = obj._finalize(ref_model, ref_loss, {}, float(ref_loss.data), np.ones(()))
         assert got.value == pytest.approx(ref.value, rel=1e-12, abs=1e-300)
         for name, grad in ref.grads.items():
             scale = max(np.abs(grad).max(), 1e-300)
@@ -720,6 +720,106 @@ class TestConditionalBaselines:
         np.testing.assert_allclose(results[0], results[1], atol=0.02)
 
 
+# Tests-only tape copies of the conditional baselines' whole-tape forms: each
+# dimension's conditionals through exp(log_softmax) on the tape, the loss built
+# from tape ops, and the clamp of marginalization as an op that passes no
+# gradient to clamped entries.
+
+
+def _ref_pow(a, e):
+    return Tensor(a.data**e, (a,), lambda g: (g * e * a.data ** (e - 1.0),))
+
+
+def _ref_clip_min(a, floor):
+    live = a.data > floor
+    return Tensor(np.maximum(a.data, floor), (a,), lambda g: (g * live,))
+
+
+def _ref_conditionals(model, batch, d):
+    q = ad.texp(model.conditional_log_probs_t(batch, d))
+    return q, ad.take_pairs(q, np.arange(batch.shape[0]), batch[:, d])
+
+
+def _ref_ratio_matching(model, batch, variant):
+    total = Tensor(0.0)
+    for d in range(model.space.ndim):
+        q, q_obs = _ref_conditionals(model, batch, d)
+        if variant == "fixed":
+            term = ad.add(ad.square(ad.sub(1.0, q_obs)),
+                          ad.sub(ad.tsum(ad.square(q), axis=1), ad.square(q_obs)))
+        else:
+            term = ad.tsum(ad.square(ad.sub(1.0, q)), axis=1)
+        total = ad.add(total, ad.tsum(term))
+    return ad.mul(total, 1.0 / batch.shape[0])
+
+
+def _ref_marginalization(model, batch, variant):
+    total, clamped = Tensor(0.0), 0
+    for d in range(model.space.ndim):
+        q, _ = _ref_conditionals(model, batch, d)
+        clamped += int((q.data <= obj.COND_FLOOR).sum())
+        qc = _ref_clip_min(q, obj.COND_FLOOR)
+        qc_obs = ad.take_pairs(qc, np.arange(batch.shape[0]), batch[:, d])
+        if variant == "fixed":
+            term = ad.sub(_ref_pow(qc_obs, -2.0), ad.tsum(ad.mul(_ref_pow(qc, -1.0), 2.0), axis=1))
+        else:
+            term = ad.tsum(ad.sub(_ref_pow(qc, -2.0), ad.mul(_ref_pow(qc, -1.0), 2.0)), axis=1)
+        total = ad.add(total, ad.tsum(term))
+    return ad.mul(total, 1.0 / batch.shape[0]), clamped
+
+
+class TestBaselineDifferential:
+    """The conditional baselines and NLL, seeded at one model read, against
+    their whole-tape forms: values to 1e-12, gradients to 1e-12 of the
+    largest entry, and equal clamp counts."""
+
+    CLAMPED = 0  # the logit table's state whose logit is -30
+
+    @classmethod
+    def cases(cls):
+        rng = np.random.default_rng(45)
+        table = LogitTableModel(DiscreteSpace((3, 4, 5)))
+        table.params["logits"].data = rng.standard_normal(60)
+        table.params["logits"].data[cls.CLAMPED] = -30.0
+        mar = MaskedARModel(8, hidden=(16,), seed=9)
+        mar.params["b1"].data = rng.standard_normal(8)
+        return [(table, table.space.states_of(rng.integers(1, 60, size=40))),
+                (mar, rng.integers(0, 2, size=(40, 8)))]
+
+    @staticmethod
+    def assert_same(got, model, ref_loss):
+        assert got.value == pytest.approx(float(ref_loss.data), rel=1e-12, abs=1e-300)
+        ref = obj._finalize(model, ref_loss, {}, float(ref_loss.data), np.ones(()))
+        for name, grad in ref.grads.items():
+            assert np.abs(got.grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+    @pytest.mark.parametrize("variant", ["fixed", "original"])
+    def test_ratio_matching(self, variant):
+        for model, batch in self.cases():
+            got = obj.ratio_matching_loss(model, batch, variant)
+            assert got.meta == {"batch": 40, "dims": model.space.ndim, "variant": variant}
+            self.assert_same(got, model, _ref_ratio_matching(model, batch, variant))
+
+    @pytest.mark.parametrize("variant", ["fixed", "original"])
+    def test_marginalization(self, variant):
+        outs = []
+        for model, batch in self.cases():
+            outs.append(obj.marginalization_loss(model, batch, variant))
+            ref_loss, clamped = _ref_marginalization(model, batch, variant)
+            assert outs[-1].meta["clamped_conditionals"] == clamped
+            self.assert_same(outs[-1], model, ref_loss)
+        # the -30 logit's conditionals are clamped: only the softmax
+        # normalizer reaches it, against about 2/q ~ 1e13 per entry unclamped
+        assert outs[0].meta["clamped_conditionals"] > 0
+        grad = outs[0].grads["logits"]
+        assert abs(grad[self.CLAMPED]) <= 1e-12 * np.abs(grad).max()
+
+    def test_nll(self):
+        for model, batch in self.cases():
+            ref_loss = ad.mul(ad.tsum(model.log_mass_t(batch)), -1.0 / batch.shape[0])
+            self.assert_same(obj.nll_loss(model, batch), model, ref_loss)
+
+
 class TestGradientsAcrossPairs:
     """Engine gradients against finite differences for model-objective pairs."""
 
@@ -791,12 +891,37 @@ class TestGradientsAcrossPairs:
         cases = {
             "nll": lambda: obj.nll_loss(model, batch),
             "ratio_fixed": lambda: obj.ratio_matching_loss(model, batch, "fixed"),
+            "ratio_original": lambda: obj.ratio_matching_loss(model, batch, "original"),
             "marginal_fixed": lambda: obj.marginalization_loss(model, batch, "fixed"),
+            "marginal_original": lambda: obj.marginalization_loss(model, batch, "original"),
             "structured": lambda: obj.csm_structured_loss(model, batch, grid, np.random.default_rng(5)),
         }
         for name, loss in cases.items():
             report = gradient_check(model.params, loss, rng=np.random.default_rng(6))
             assert report["max_rel_error"] < 1e-4, f"{name}: {report}"
+
+
+class TestStructuredLossUnboundedBelow:
+    def test_falls_without_bound_as_an_in_edge_source_loses_mass(self):
+        """On a fixed batch, J1 - J2 is unbounded below: an in-edge whose
+        source lies outside the batch enters only through -2 beta c, with
+        c = q(x)/q(src) - 1, so the loss falls as exp(-logit(src)) while the
+        J1 terms stay bounded, and its gradient lowers that logit further."""
+        space = DiscreteSpace((8,))
+        cycle = build_structure("cycle", space)  # one out-edge, x -> x + 1
+        batch = np.array([[3], [3], [5], [6]])  # J2 sources 2, 2, 4, 5; J1 edges 3 -> 4, 5 -> 6, 6 -> 7
+        model = LogitTableModel(space)
+        model.params["logits"].data = np.random.default_rng(46).standard_normal(8)
+        l3, outs = model.params["logits"].data[3], {}
+        for l2 in (0.0, -5.0, -10.0, -20.0, -40.0):
+            model.params["logits"].data[2] = l2
+            outs[l2] = obj.csm_structured_loss(model, batch, cycle, np.random.default_rng(0))
+        values = [out.value for out in outs.values()]
+        assert values == sorted(values, reverse=True) and values[-1] < -1e17
+        # two in-edges from state 2, each -2 (1/4) (exp(l3 - l2) - 1)
+        for l2, out in outs.items():
+            assert out.value == pytest.approx(outs[0.0].value + np.exp(l3) - np.exp(l3 - l2), rel=1e-12)
+            assert out.grads["logits"][2] == pytest.approx(np.exp(l3 - l2), rel=1e-12)
 
 
 class TestDispatch:
