@@ -97,22 +97,6 @@ class TabularDistribution:
             lines.append(f"{coords},{float(m)!r}")
         atomic_write(path, "\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path, space: DiscreteSpace) -> "TabularDistribution":
-        n = space.require_enumerable("tabular distribution")
-        mass = np.zeros(n)
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != space.ndim + 1:
-                    raise ValueError(f"{path}:{lineno}: expected {space.ndim} coords and a mass")
-                state = space.validate_state([int(v) for v in parts[:-1]])
-                mass[space.index_of(state)] = float(parts[-1])
-        return cls(space, mass)
-
 
 def _support_mask(
     structure: NeighborhoodStructure, support: Iterable[Sequence[int]] | None

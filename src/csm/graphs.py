@@ -20,10 +20,12 @@ On an enumerable space the graph is its CSR adjacency over flat indices
 (:meth:`NeighborhoodStructure.adjacency`), built per kind by array
 arithmetic. Neighbors, degrees, the edge list, the undirected view, the
 reverse index and the connectivity check all derive from those arrays.
-A grid beyond the enumeration cap has no CSR arrays; its neighbors come
-from the same per-dimension arithmetic that builds a grid's adjacency, and
-so do the in-edges along one dimension that the reverse-index-free
-estimators read (:meth:`NeighborhoodStructure.in_edges_along`).
+Grids, chains and cycles move along lines (:meth:`NeighborhoodStructure.lines`).
+:func:`line_moves` is the one rule for which +1 and -1 moves exist on a line,
+and :meth:`NeighborhoodStructure.moves` the one walk that puts them in slot
+order. A grid's adjacency, degrees and neighbors beyond the enumeration cap,
+the in-edges along one line (:meth:`NeighborhoodStructure.in_edges_along`)
+and the sampler's unit steps all derive from that walk.
 
 Structures are immutable after construction; internal adjacency caches
 are built lazily and are safe to share across read-only workers.
@@ -31,6 +33,7 @@ are built lazily and are safe to share across read-only workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -168,6 +171,16 @@ class DiscreteSpace:
         return strides
 
 
+def line_moves(v, cells, wrap: bool):
+    """(plus, minus): whether the +1 and -1 moves exist from coordinate ``v`` of
+    a line of ``cells`` cells. A dropped line loses the move off each end; a
+    wrapping one has its moves everywhere, as constants, and if it has two
+    cells its one move, the flip, counts as +1."""
+    if wrap:
+        return True, cells > 2
+    return v + 1 < cells, v > 0
+
+
 class NeighborhoodStructure:
     """Immutable neighbor map over a :class:`DiscreteSpace`.
 
@@ -202,6 +215,9 @@ class NeighborhoodStructure:
             raise ValueError("explicit_edges only allowed for the explicit kind")
         self._und: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._connected: bool | None = None
+        n, dims, wrap = space.total_states, space.dims, boundary == "wrap"
+        self._lines = {"chain": ((1, n, False),), "cycle": ((1, n, True),), "grid": tuple(
+            (math.prod(dims[d + 1 :]), cells, wrap or cells == 2) for d, cells in enumerate(dims))}.get(kind)
 
     def _validate_explicit(self, edges) -> tuple[np.ndarray, np.ndarray]:
         """CSR arrays of a user-supplied adjacency mapping; unlisted states have no neighbors."""
@@ -222,40 +238,44 @@ class NeighborhoodStructure:
 
     # -- degrees and neighbors ------------------------------------------------
 
+    def lines(self) -> tuple[tuple[int, int, bool], ...] | None:
+        """(stride, cells, wraps) of each line, in slot order, or None: one per grid
+        dimension (a binary one wraps), or a chain's or cycle's flat order. Strides
+        are Python ints, as a grid may lie beyond int64. A grid's adjacency, and a
+        chain's or cycle's undirected view, hold exactly these lines' moves."""
+        return self._lines
+
+    def moves(self, coords) -> tuple[list, object]:
+        """:func:`line_moves` in slot order, line by line and +1 before -1, from
+        states with coordinate ``coords[a]`` on line a. Returns (moves, count):
+        each move that exists from some state as (line, sign, exists, slot), with
+        ``slot`` its entry index from the state's row start, and each state's
+        number of moves. These stay Python constants while every line so far wraps."""
+        moves, count = [], 0
+        for a, ((_, cells, wrap), v) in enumerate(zip(self._lines, coords)):
+            for sign, exists in zip((1, -1), line_moves(v, cells, wrap)):
+                if exists is not False:
+                    moves.append((a, sign, exists, count))
+                    count = count + exists
+        return moves, count
+
     def uniform_degree(self) -> int | None:
         """Common neighbor count when every state has the same degree, else None."""
         if self.kind == "complete":  # its CSR arrays may exceed EDGE_CAP
             return self.space.total_states - 1
         if self.kind == "grid":  # the grid may lie beyond the enumeration cap
-            if self.boundary == "wrap" or all(n == 2 for n in self.space.dims):
-                return sum(1 if n == 2 else 2 for n in self.space.dims)
-            return None
+            # a wrapping line has the same moves from every cell, a dropped one fewer at its ends
+            return self.moves([0] * self.space.ndim)[1] if all(w for *_, w in self._lines) else None
         degs = np.diff(self.adjacency()[0])
         return int(degs[0]) if np.all(degs == degs[0]) else None
 
     def degrees_of(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=np.int64)
         if self.kind == "grid":
-            return self.grid_dim_degrees(states).sum(axis=1)
+            return np.full(len(states), self.moves(states.T)[1], dtype=np.int64)
         indptr, _ = self.adjacency()
         flat = self.space.indices_of(states)
         return indptr[flat + 1] - indptr[flat]
-
-    def grid_dim_degrees(self, states: np.ndarray) -> np.ndarray:
-        """Per-dimension neighbor counts, shape (m, D)."""
-        dims = np.asarray(self.space.dims, dtype=np.int64)
-        m = states.shape[0]
-        degs = np.empty((m, len(dims)), dtype=np.int64)
-        for d, n in enumerate(dims):
-            if n == 2:
-                degs[:, d] = 1
-            elif self.boundary == "wrap":
-                degs[:, d] = 2
-            else:
-                degs[:, d] = (states[:, d] + 1 < n).astype(np.int64) + (
-                    states[:, d] > 0
-                ).astype(np.int64)
-        return degs
 
     def neighbor_states_at(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """The ``positions[j]``-th neighbor of ``states[j]`` for each row j."""
@@ -274,22 +294,14 @@ class NeighborhoodStructure:
         return indices[start + positions]
 
     def _grid_neighbor_at(self, states: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """The grid rule: neighbor ``positions[j]`` of ``states[j]`` by arithmetic."""
-        dims = np.asarray(self.space.dims, dtype=np.int64)
-        degs = self.grid_dim_degrees(states)
-        cum = np.cumsum(degs, axis=1)
-        if ((positions < 0) | (positions >= cum[:, -1])).any():
+        """The grid rule: neighbor ``positions[j]`` of ``states[j]`` is the move in that slot."""
+        moves, count = self.moves(states.T)
+        if ((positions < 0) | (positions >= count)).any():
             raise ValueError("neighbor position out of range")
-        dim = (positions[:, None] >= cum).sum(axis=1)
-        within = positions - np.where(dim > 0, cum[np.arange(len(dim)), dim - 1], 0)
-        n_d = dims[dim]
-        v = states[np.arange(len(dim)), dim]
-        # first slot of a dimension block is +1 when that move exists, the
-        # bit-flip for binary dims; second slot is -1
-        plus_exists = (n_d > 2) & ((self.boundary == "wrap") | (v + 1 < n_d))
-        step = np.where(n_d == 2, 1 - 2 * v, np.where((within == 0) & plus_exists, 1, -1))
         out = states.copy()
-        out[np.arange(len(dim)), dim] = (v + step) % n_d
+        for a, sign, exists, slot in moves:
+            hit = exists & (slot == positions)
+            out[hit, a] = (states[hit, a] + sign) % self.space.dims[a]
         return out
 
     def in_edges_along(
@@ -303,7 +315,8 @@ class NeighborhoodStructure:
         the flat predecessor (none for the first chain state). A grid has a
         bit-flip source on a binary dimension, else x - e_d (its + move) and
         x + e_d (its - move) where they exist; the entries are grouped in that
-        order, found by slot arithmetic without enumerating the space.
+        order, rows ascending within each group, and found from the line-move
+        slots without enumerating the space.
         """
         states = np.asarray(states, dtype=np.int64)
         m = states.shape[0]
@@ -314,21 +327,20 @@ class NeighborhoodStructure:
             return row, src, np.zeros(row.size, dtype=np.int64)
         if self.kind != "grid":
             raise ValueError(f"in-edges along a dimension need a chain, cycle or grid, not {self.kind!r}")
-        sizes = np.asarray(self.space.dims, dtype=np.int64)
         dims = np.asarray(dims, dtype=np.int64)
-        v, n, wrap = states[np.arange(m), dims], sizes[dims], self.boundary == "wrap"
-        # a source differs from x only along dims, so its slot block for that
-        # dimension starts where x's does
-        first = (self.grid_dim_degrees(states) * (np.arange(sizes.size) < dims[:, None])).sum(axis=1)
+        v, n = states[np.arange(m), dims], np.asarray(self.space.dims)[dims]
+        # x - e_d reaches x by its + move where x has a - move, and x + e_d by its
+        # - move where x has a + move; a binary line's one move is the flip
         multi = n > 2
-        exists = np.stack([~multi, multi & (wrap | (v > 0)), multi & (wrap | (v + 1 < n))])
-        value = np.stack([1 - v, (v - 1) % n, (v + 1) % n])
-        # the - move of x + e_d follows its + move when that exists
-        slot = np.stack([np.zeros_like(v), np.zeros_like(v), wrap | (v + 2 < n)])
-        block, row = np.nonzero(exists)
+        plus, minus = line_moves(v, n, self.boundary == "wrap")
+        block, row = np.nonzero([~multi, multi & minus, multi & plus])
+        line, k = dims[row], np.arange(row.size)
         src = states[row]
-        src[np.arange(row.size), dims[row]] = value[block, row]
-        return row, src, first[row] + slot[block, row]
+        src[k, line] = (v[row] + np.array([1, -1, 1])[block]) % n[row]
+        slots = np.empty((len(self._lines), 2, row.size), dtype=np.int64)
+        for a, sign, _, slot in self.moves(src.T)[0]:
+            slots[a, (1 - sign) // 2] = slot
+        return row, src, slots[line, block // 2, k]
 
     def all_neighbors_of(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened neighborhoods of a batch.
@@ -354,15 +366,16 @@ class NeighborhoodStructure:
             )
         degs = np.ones(n, dtype=np.int64)
         if self.kind == "grid":
-            states = self.space.all_states()
-            degs = self.grid_dim_degrees(states).sum(axis=1)
-            # one neighbor slot at a time keeps the temporaries at (n, D), not (edges, D)
-            slots = np.arange(degs.max()) < degs[:, None]
-            nbr = np.zeros(slots.shape, dtype=np.int64)
-            for p, has in enumerate(slots.T):
-                moved = self._grid_neighbor_at(states[has], np.full(int(has.sum()), p))
-                nbr[has, p] = self.space.indices_of(moved)
-            indices = nbr[slots]
+            flat = np.arange(n, dtype=np.int64)
+            coords = [flat // stride % cells for stride, cells, _ in self._lines]
+            moves, count = self.moves(coords)
+            degs = np.broadcast_to(count, (n,))
+            start = _indptr(degs)[:-1]
+            indices = np.empty(start[-1] + degs[-1], dtype=np.int64)
+            for a, sign, exists, slot in moves:
+                stride, cells, _ = self._lines[a]
+                there = flat + ((coords[a] + sign) % cells - coords[a]) * stride
+                indices[(start + slot)[exists]] = there[exists]
         elif self.kind == "chain":
             degs[-1] = 0
             indices = np.arange(1, n, dtype=np.int64)

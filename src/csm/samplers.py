@@ -10,20 +10,22 @@ Metropolis-Hastings walks the undirected view of the neighborhood graph.
   entry from one ``score_vector`` read over the whole space: the score
   entry of whichever directed edge exists, inverted when the edge points
   backwards. Ratios below zero (entries under -1) are clamped to zero and
-  counted; a path multiplies the ratios of its unit steps, and a zero
-  blocks it even next to an inf.
+  counted.
 
 On chain, cycle and grid structures the chain proposes straight-line
-paths: it picks a line (a grid dimension and a sign, or a sign in flat
-order for chains and cycles), draws a length log-uniformly on 1..n-1 for
-a line of n cells, and proposes the state that many cells along it.
-Paths that run off a drop boundary or a chain end are rejected; otherwise
-the acceptance is min(1, ratio), with no degree correction since the
-proposal is symmetric. Each block of ``BLOCK`` steps draws its uniforms as
-one (n, 4) array and prepares lines and lengths in numpy; one scalar loop
-then walks flat indices. Other structures propose one neighbor uniformly
-among states adjacent in either direction and include the proposal-degree
-correction. A NaN ratio anywhere raises :class:`NaNRatioError`.
+paths along the structure's lines (a grid dimension, or the flat order):
+it picks a line and a sign, draws a length log-uniformly on 1..n-1 for a
+line of n cells, and proposes the state that many cells along it. A path
+multiplies the ratios of its unit steps, where a zero blocks it even next
+to an inf; each step's ratio sits at its slot under ``graphs.line_moves``,
+the one rule for slot order. Paths that run off a drop boundary or a chain
+end are rejected; otherwise the acceptance is min(1, ratio), with no degree
+correction since the proposal is symmetric. Each block of ``BLOCK`` steps
+draws its uniforms as one (n, 4) array and prepares lines and lengths in
+numpy; one scalar loop then walks flat indices. Other structures propose
+one neighbor uniformly among states adjacent in either direction and
+include the proposal-degree correction. A NaN ratio anywhere raises
+:class:`NaNRatioError`.
 
 An annealed wrapper chains final states across a model sequence, and a
 Langevin integrator serves the continuous denoising pipeline.
@@ -85,39 +87,21 @@ def _edge_ratio_table(score_model, structure) -> np.ndarray:
     return ratios
 
 
-def _path_lines(structure: NeighborhoodStructure) -> list[tuple[int, int, bool]] | None:
-    """(stride, cells, wraps) of each line path proposals follow, or None: one
-    per grid dimension (a binary one always wraps, both its moves being the
-    same bit flip), or the single flat-order line of a chain or cycle."""
-    space = structure.space
-    if structure.kind in ("chain", "cycle"):
-        return [(1, space.total_states, structure.kind == "cycle")]
-    if structure.kind == "grid":
-        wrap = structure.boundary == "wrap"
-        strides = space.indices_of(np.eye(space.ndim, dtype=np.int64))  # flat index of e_d
-        return [(int(s), n, wrap or n == 2) for s, n in zip(strides, space.dims)]
-    return None
-
-
-def _unit_step_ratios(structure, ratios: np.ndarray, lines) -> np.ndarray:
+def _unit_step_ratios(structure, ratios: np.ndarray) -> np.ndarray:
     """Ratio of the one-cell step from every state along every line, both signs:
     entry [a, j, u] is the undirected-view ratio from u to the state one cell
-    along line a in sign (+1, -1)[j]. Steps off a drop boundary hold 0, unread.
-    """
-    indptr, dst, _, _ = structure.undirected_view()
-    n = structure.space.total_states
-    src, _ = csr_rows(indptr)
-    keys = src * n + dst
-    order = np.argsort(keys)
-    keys = keys[order]
-    u = np.arange(n, dtype=np.int64)
-    out = np.zeros((len(lines), 2, n))
-    for a, (stride, cells, wrap) in enumerate(lines):
-        v = (u // stride) % cells
-        for j, sign in enumerate((1, -1)):
-            ok = wrap | ((v + sign >= 0) & (v + sign < cells))
-            target = u[ok] + ((v[ok] + sign) % cells - v[ok]) * stride
-            out[a, j, ok] = ratios[order[np.searchsorted(keys, u[ok] * n + target)]]
+    along line a in sign (+1, -1)[j], at u's row start plus the move's slot, as
+    the view holds the lines' moves. A two-cell wrapping line's flip serves both
+    signs; steps off a drop boundary hold 0, unread."""
+    start = structure.undirected_view()[0][:-1]
+    lines = structure.lines()
+    u = np.arange(start.size, dtype=np.int64)
+    moves, _ = structure.moves([u // stride % cells for stride, cells, _ in lines])
+    out = np.zeros((len(lines), 2, u.size))
+    for a, sign, exists, slot in moves:
+        out[a, (1 - sign) // 2][exists] = ratios[(start + slot)[exists]]
+    flip = np.array([wrap and cells == 2 for _, cells, wrap in lines])
+    out[flip, 1] = out[flip, 0]
     return out
 
 
@@ -224,7 +208,7 @@ def run_chain(
     if steps == 0:
         return np.asarray([init], dtype=np.int64), ChainState(current=init)
 
-    lines = _path_lines(structure)
+    lines = structure.lines()
     lm = ratios = step_ratios = None
     clamped = 0
     if hasattr(score_model, "log_mass_unnorm"):
@@ -239,7 +223,7 @@ def run_chain(
         clamped = int((ratios < 0).sum())
         ratios = np.maximum(ratios, 0.0)
         if lines is not None:
-            step_ratios = _unit_step_ratios(structure, ratios, lines)
+            step_ratios = _unit_step_ratios(structure, ratios)
     walk = (_neighbor_walk(structure, rng, lm, ratios) if lines is None
             else _path_walk(lines, rng, lm, step_ratios))
 

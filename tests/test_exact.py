@@ -36,8 +36,9 @@ class TestTabularDistribution:
         dist = TabularDistribution.random_positive(space, rng)
         path = tmp_path / "dist.csv"
         dist.to_csv(path)
-        loaded = TabularDistribution.from_csv(path, space)
-        np.testing.assert_array_equal(loaded.mass, dist.mass)
+        loaded = np.loadtxt(path, delimiter=",", ndmin=2)
+        np.testing.assert_array_equal(loaded[:, :-1], space.all_states())
+        np.testing.assert_array_equal(loaded[:, -1], dist.mass)
 
 
 def _oracle_fn(p, structure):

@@ -227,25 +227,32 @@ class TestInEdgesAlong:
         ("grid", (2, 3, 4), "drop"), ("grid", (2, 3, 4), "wrap"),
         ("grid", (3, 2, 5), "drop"), ("grid", (2, 2, 2), "wrap"),
         ("grid", (3,), "drop"), ("grid", (3,), "wrap"),
+        ("chain", (2,), "drop"), ("cycle", (2,), "drop"), ("cycle", (3,), "drop"),
+        ("grid", (2, 5, 2, 3), "drop"), ("grid", (2, 5, 2, 3), "wrap"),
     ])
     def test_matches_reverse_index(self, kind, dims, boundary):
         structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)
         space = structure.space
         states = space.all_states()
         rev = build_reverse_index(structure)
-        for d in range(space.ndim):
-            along = np.full(space.total_states, d)
+        n = space.total_states
+        # each dimension for every state, then one that varies from state to state
+        for along in [np.full(n, d) for d in range(space.ndim)] + [np.arange(n) * 7 % space.ndim]:
             row, src, pos = structure.in_edges_along(states, along)
             np.testing.assert_array_equal(structure.neighbor_states_at(src, pos), states[row])
-            got = sorted(zip(row.tolist(), space.indices_of(src).tolist(), pos.tolist()))
+            got = list(zip(row.tolist(), space.indices_of(src).tolist(), pos.tolist()))
             expected = []
-            for x in range(space.total_states):
+            for x in range(n):
+                d = along[x]
                 for k in range(rev.indptr[x], rev.indptr[x + 1]):
                     y = int(rev.src[k])
                     # chains and cycles have one line, the flat order
                     if kind != "grid" or states[y][d] != states[x][d]:
-                        expected.append((x, y, int(rev.pos[k])))
-            assert got == sorted(expected)
+                        # documented order: bit flips, then x - e_d, then x + e_d, rows ascending
+                        group = 0 if kind != "grid" or dims[d] == 2 else (
+                            1 if states[y][d] == (states[x][d] - 1) % dims[d] else 2)
+                        expected.append((group, x, y, int(rev.pos[k])))
+            assert got == [entry[1:] for entry in sorted(expected)]
 
     def test_grid_beyond_cap(self):
         grid = build_structure("grid", DiscreteSpace((2,) * 20 + (5,) * 4))
@@ -286,7 +293,7 @@ class TestAgainstReference:
         ("chain", (9,)), ("chain", (3, 4)), ("cycle", (9,)), ("cycle", (2, 3)),
         ("star", (9,)), ("complete", (6,)), ("complete", (2, 3)),
         ("grid", (4, 5)), ("grid", (2, 3, 2)), ("grid", (3, 2, 4)), ("grid", (2, 2, 2, 2)),
-        ("grid", (5,)),
+        ("grid", (5,)), ("chain", (2,)), ("cycle", (2,)), ("cycle", (3,)), ("grid", (2, 5, 2, 3)),
     ])
     def test_standard_kinds(self, kind, dims, boundary):
         structure = build_structure(kind, DiscreteSpace(dims), boundary=boundary)

@@ -242,6 +242,17 @@ def _reference_chain(score_model, structure, init, steps, burn_in, thin, seed):
     return np.asarray(kept), accepted, clamped
 
 
+class _EntriesOnly(ScoreModel):
+    """A model's score entries without its log-mass, so that run_chain reads the
+    ratio table and, on chains, cycles and grids, the unit steps."""
+
+    def __init__(self, model):
+        self.model, self.space = model, model.space
+
+    def score_entries_t(self, structure, states, positions, dst=None):
+        return self.model.score_entries_t(structure, states, positions, dst)
+
+
 def _differential_cases():
     for kind, dims, boundary in (
         ("chain", (3, 5), "drop"),
@@ -260,6 +271,17 @@ def _differential_cases():
         model = MaskedARModel(5, hidden=(16,), seed=31)
         yield f"masked-ar-{kind}-{boundary}", model, build_structure(
             kind, model.space, boundary=boundary)
+    for kind, dims, boundary in (
+        ("chain", (2,), "drop"),
+        ("cycle", (2,), "drop"),
+        ("chain", (3, 5), "drop"),
+        ("grid", (3, 2, 4), "drop"),
+        ("grid", (2, 3), "wrap"),
+    ):
+        space = DiscreteSpace(dims)
+        yield (f"entries-{kind}-{boundary}-{'x'.join(map(str, dims))}",
+               _EntriesOnly(_random_logit_model(space, 32, scale=2.0)),
+               build_structure(kind, space, boundary=boundary))
     space = DiscreteSpace((12,))
     net = ScoreNetModel(space, degree=1, hidden=(8,), seed=2)
     net.params["w1"].data *= 4.0  # two entries under -1: four clamped ratios
