@@ -19,6 +19,12 @@ from typing import Callable
 
 import numpy as np
 
+# Adam's moment decays and denominator guard, at their standard values
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FD_STEP = 1e-5  # central-difference step of gradient_check
+
 
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_vjp")
@@ -211,14 +217,14 @@ def take_pairs(a, rows, cols) -> Tensor:
     return Tensor(ad[r, c], (_maybe(a),), vjp)
 
 
-def tsum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis: int | None = None) -> Tensor:
     ad = _data(a)
 
     def vjp(g):
-        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        ge = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(ge, ad.shape).copy(),)
 
-    return Tensor(ad.sum(axis=axis, keepdims=keepdims), (_maybe(a),), vjp)
+    return Tensor(ad.sum(axis=axis), (_maybe(a),), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -253,11 +259,8 @@ class Adam:
     gradients, naming the offending parameter.
     """
 
-    def __init__(self, lr: float = 5e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 5e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -265,8 +268,8 @@ class Adam:
     def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray]):
         """Update every parameter in place from ``grads[name]``."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in params.items():
             g = grads[name]
             if not np.all(np.isfinite(g)):
@@ -275,21 +278,20 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
             mhat = self.m[name] / bc1
             vhat = self.v[name] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def gradient_check(
     params: dict[str, Tensor],
     loss_fn: Callable[[], "object"],
-    step: float = 1e-5,
     max_checks: int = 200,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Compare engine gradients to central finite differences.
+    """Compare engine gradients to central finite differences of step ``FD_STEP``.
 
     ``loss_fn`` must return an object with ``value`` (float) and
     ``grads`` (name -> array); it is re-evaluated with perturbed
@@ -311,12 +313,12 @@ def gradient_check(
     for name, i in coords:
         flat = params[name].data.reshape(-1)
         saved = flat[i]
-        flat[i] = saved + step
+        flat[i] = saved + FD_STEP
         up = loss_fn().value
-        flat[i] = saved - step
+        flat[i] = saved - FD_STEP
         down = loss_fn().value
         flat[i] = saved
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * FD_STEP)
         a = float(analytic[name].reshape(-1)[i])
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
         if err > worst:

@@ -102,7 +102,6 @@ def _enumerated_j_stats(model, p, structure):
     var2s = None
     if structure.kind in ("chain", "cycle", "grid"):
         ndim = space.ndim if structure.kind == "grid" else 1
-        states = space.all_states()
         # g(x, d) = ndim * sum of 2 c(y)_i over incoming edges along d
         per = np.zeros((n, ndim))
         if structure.kind == "grid":
@@ -126,7 +125,7 @@ def _enumerated_mc_var(model, p, structure) -> float:
     return float((p.mass * g**2).sum()) - float((p.mass * g).sum()) ** 2
 
 
-def estimator_suite(seed: int = 0, draws: int = 100_000, sigmas: float = 3.0) -> list[CheckResult]:
+def estimator_suite(seed: int = 0, draws: int = 100_000) -> list[CheckResult]:
     """Monte Carlo estimator means against enumerated values, 3 SE bands."""
     rng = np.random.default_rng(seed)
     cases = [
@@ -139,8 +138,8 @@ def estimator_suite(seed: int = 0, draws: int = 100_000, sigmas: float = 3.0) ->
     results = []
 
     def band(name: str, estimate: float, truth: float, var: float):
-        """Pass when the estimate lies within ``sigmas`` standard errors of the truth."""
-        err, tol = abs(estimate - truth), sigmas * np.sqrt(max(var, 0.0) / draws)
+        """Pass when the estimate lies within 3 standard errors of the truth."""
+        err, tol = abs(estimate - truth), 3.0 * np.sqrt(max(var, 0.0) / draws)
         results.append(CheckResult(f"{name}_unbiased_{label}", err < tol, err, tol))
 
     for label, structure in cases:
@@ -232,20 +231,16 @@ def denoise_suite(seed: int = 0) -> list[CheckResult]:
     return results
 
 
-def mh_suite(seed: int = 0, steps: int = 100_000, burn_in: int = 10_000, tol: float = 0.02, model: LogitTableModel | None = None) -> list[CheckResult]:
-    """Chain histogram against the model's normalized distribution."""
-    space = DiscreteSpace((16,)) if model is None else model.space
-    if model is None:
-        model = LogitTableModel(space)
-        model.params["logits"].data = np.random.default_rng(seed).standard_normal(
-            space.total_states
-        )
+def mh_suite(seed: int = 0) -> list[CheckResult]:
+    """A 100,000-step chain on a 16-cycle within TV 0.02 of its seeded logit table."""
+    space = DiscreteSpace((16,))
+    model = LogitTableModel(space)
+    model.params["logits"].data = np.random.default_rng(seed).standard_normal(space.total_states)
     structure = build_structure("cycle", space)
-    samples, chain = run_chain(
-        model, structure, (0,) * space.ndim, steps, burn_in=burn_in, seed=seed
-    )
+    samples, chain = run_chain(model, structure, (0,), 100_000, burn_in=10_000, seed=seed)
     empirical = TabularDistribution.from_samples(space, samples)
     _, tv = kl_and_tv(empirical, model.distribution())
+    tol = 0.02
     return [
         CheckResult(
             "mh_stationary_tv", tv < tol, tv, tol, f"acceptance={chain.acceptance_rate:.2f}"

@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import checks, data, models, objectives, samplers
 from .exact import TabularDistribution, kl_and_tv
@@ -77,7 +74,8 @@ class RunConfig:
         return "\n".join(f"{f.name} = {getattr(self, f.name)}" for f in fields(self)) + "\n"
 
 
-_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+# field annotations are strings under ``from __future__ import annotations``
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -97,14 +95,12 @@ def parse_config_file(path) -> dict[str, str]:
 def build_config(file_values: dict[str, str] | None, overrides: dict[str, str]) -> RunConfig:
     cfg = RunConfig()
     types = {f.name: f.type for f in fields(cfg)}
-    type_map = {"int": int, "float": float, "str": str, "bool": bool}
     merged = dict(file_values or {})
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, value in merged.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        ftype = type_map.get(types[key], str) if isinstance(types[key], str) else types[key]
-        setattr(cfg, key, _PARSERS[ftype](str(value)))
+        setattr(cfg, key, _PARSERS[types[key]](str(value)))
     return cfg.validate()
 
 
@@ -187,14 +183,9 @@ def cmd_sample(cfg: RunConfig, checkpoint: str) -> int:
     space = bundle[0].space
     structure = _build_structure(cfg, space)
     init = _init_state(cfg, space)
-    if len(bundle) == 1:
-        samples, chain = samplers.run_chain(
-            bundle[0], structure, init, cfg.steps, burn_in=cfg.burn_in, thin=cfg.thin, seed=cfg.seed
-        )
-    else:
-        samples, chain = samplers.run_annealed(
-            bundle, structure, init, cfg.steps, seed=cfg.seed, burn_in=cfg.burn_in, thin=cfg.thin
-        )
+    samples, chain = samplers.run_annealed(
+        bundle, structure, init, cfg.steps, seed=cfg.seed, burn_in=cfg.burn_in, thin=cfg.thin
+    )
     write_samples_csv(os.path.join(cfg.out, "samples.csv"), samples)
     if space.ndim == 2:
         write_histogram_pgm(os.path.join(cfg.out, "histogram.pgm"), samples, space.dims)

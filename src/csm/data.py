@@ -48,6 +48,7 @@ FIELD_HALF_WIDTH = 2.5  # the 2-D toys live on [-2.5, 2.5]^2
 RING_RADII = (1.0, 2.0)
 RING_SIGMA = 0.1
 SPIRAL_SIGMA = 0.1
+SPIRAL_QUAD = 600  # midpoint quadrature points along each spiral arm
 CHECKER_CELLS = 4
 CHECKER_BLUR_BINS = 0.7  # checkerboard edge softening, in bin widths
 QUAD_SUBDIV = 3  # midpoint quadrature points per bin edge for smooth toys
@@ -196,12 +197,12 @@ def _spiral_centers(t: np.ndarray, arm: np.ndarray) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=-1)
 
 
-def _spirals_density(points: np.ndarray, n_quad: int = 600) -> np.ndarray:
-    t = (np.arange(n_quad) + 0.5) / n_quad
+def _spirals_density(points: np.ndarray) -> np.ndarray:
+    t = (np.arange(SPIRAL_QUAD) + 0.5) / SPIRAL_QUAD
     out = np.zeros(points.shape[0])
     norm = 1.0 / (2.0 * np.pi * SPIRAL_SIGMA**2)
     for arm in (0.0, 1.0):
-        centers = _spiral_centers(t, np.full(n_quad, arm))  # (n_quad, 2)
+        centers = _spiral_centers(t, np.full(SPIRAL_QUAD, arm))  # (SPIRAL_QUAD, 2)
         # chunk the pairwise distances to bound memory
         for lo in range(0, points.shape[0], 4096):
             chunk = points[lo : lo + 4096]

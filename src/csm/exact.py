@@ -32,6 +32,18 @@ SCORE_CLAMP = 1e-9
 SCORE_BLOCK = 1024
 
 
+class NaNRatioError(FloatingPointError):
+    """A score entry or density ratio that an edge needs is NaN."""
+
+
+def check_nan(space: DiscreteSpace, values: np.ndarray, src: np.ndarray, dst: np.ndarray, what: str):
+    """Raise :class:`NaNRatioError` at the first NaN ``values[j]``, naming edge src[j] -> dst[j]."""
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        u, v = (space.state_of(int(end[nan[0]])) for end in (src, dst))
+        raise NaNRatioError(f"NaN {what} on edge {u} -> {v}")
+
+
 class TabularDistribution:
     """Dense probability mass function over an enumerable discrete space.
 
@@ -80,12 +92,10 @@ class TabularDistribution:
         return cls(space, counts, normalize=True)
 
     @classmethod
-    def random_positive(
-        cls, space: DiscreteSpace, rng: np.random.Generator, floor: float = 0.05
-    ) -> "TabularDistribution":
+    def random_positive(cls, space: DiscreteSpace, rng: np.random.Generator) -> "TabularDistribution":
         """Random strictly positive distribution (for round-trip tests)."""
         n = space.require_enumerable("random distribution")
-        return cls(space, rng.random(n) + floor, normalize=True)
+        return cls(space, rng.random(n) + 0.05, normalize=True)
 
     def to_csv(self, path) -> None:
         """One line per state: ``state_indices..., mass``."""
@@ -151,7 +161,7 @@ def reconstruct_density(
     after row, as ``ScoreModel.score_vector`` does. Off-tree edges are
     ignored; see :func:`max_cycle_residual` for the consistency
     diagnostic. Entries at or below -1 are clamped to -1 + 1e-9 and
-    counted in a warning.
+    counted in a warning; a NaN entry raises :class:`NaNRatioError`.
     """
     space = structure.space
     member = _support_mask(structure, support)
@@ -185,6 +195,7 @@ def reconstruct_density(
     owners, which = np.unique(np.where(fwd[k], parent, dst[k]), return_inverse=True)
     start, scores = _read_scores(score_fn, structure, owners)
     c = scores[start[which] + pos[k]]
+    check_nan(space, c, owners[which], np.where(fwd[k], dst[k], parent), "score entry")
     clamped = int((c <= -1.0 + SCORE_CLAMP).sum())
     if clamped:
         log.warning("reconstruct_density clamped %d score entries at -1", clamped)
@@ -210,7 +221,8 @@ def max_cycle_residual(
     Zero (to rounding) iff the scores are consistent with some
     distribution on the support; large values flag a score field that is
     not the score of any distribution. ``score_fn`` takes blocks of states,
-    as in :func:`reconstruct_density`.
+    as in :func:`reconstruct_density`; a NaN entry on any edge read raises
+    :class:`NaNRatioError`.
     """
     support = None if support is None else list(support)  # read twice below
     recon = reconstruct_density(score_fn, structure, support=support)
@@ -223,6 +235,7 @@ def max_cycle_residual(
     _, c = _read_scores(score_fn, structure, np.flatnonzero(member))
     inside = member[dst]
     src, dst, c = src[inside], dst[inside], c[inside]
+    check_nan(structure.space, c, src, dst, "score entry")
     resid = np.abs((lm[dst] - lm[src]) - np.log1p(np.maximum(c, -1.0 + SCORE_CLAMP)))
     return float(resid.max(initial=0.0))
 

@@ -346,20 +346,6 @@ def fit(
 _MODEL_KINDS = {cls.kind: cls for cls in (LogitTableModel, ScoreNetModel, MaskedARModel)}
 
 
-def _build_from_config(kind: str, config: dict, seed: int):
-    """The model of a checkpoint header: ``config()`` as constructor keywords."""
-    if kind not in _MODEL_KINDS:
-        raise CheckpointError(f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}")
-    cls = _MODEL_KINDS[kind]
-    kwargs = dict(config, seed=seed)
-    if "dims" in kwargs:
-        kwargs["space"] = DiscreteSpace(tuple(kwargs.pop("dims")))
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise CheckpointError(f"checkpoint config {config} does not fit {kind!r}: {exc}") from exc
-
-
 def _model_header(model) -> dict:
     return {
         "kind": model.kind,
@@ -389,16 +375,37 @@ def save_checkpoint(path, model_or_models) -> None:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose header is not JSON, names an unknown kind or a config
-    that does not fit it, or lists parameters its payload does not match."""
+    """A checkpoint whose header is not a JSON object, lacks a key, names an unknown
+    kind or a config that does not fit it, or lists parameters its payload does not match."""
 
 
-def _load_one(header: dict, raw: bytes, offset: int):
-    model = _build_from_config(header["kind"], header["config"], header["seed"])
-    expected = [(name, tuple(shape)) for name, shape in header["params"]]
+def _header_fields(header, *keys) -> list:
+    """The values of ``keys`` in a checkpoint header, which must be a JSON object."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint header must be a JSON object, not {type(header).__name__}")
+    missing = [key for key in keys if key not in header]
+    if missing:
+        raise CheckpointError(f"checkpoint header lacks {missing}")
+    return [header[key] for key in keys]
+
+
+def _load_one(header, raw: bytes, offset: int):
+    """(model, offset after its parameters) of a checkpoint header: ``config()``
+    as constructor keywords, parameters read from ``raw`` at ``offset``."""
+    kind, config, seed, params = _header_fields(header, "kind", "config", "seed", "params")
+    if kind not in _MODEL_KINDS:
+        raise CheckpointError(f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}")
+    kwargs = dict(config, seed=seed)
+    if "dims" in kwargs:
+        kwargs["space"] = DiscreteSpace(tuple(kwargs.pop("dims")))
+    try:
+        model = _MODEL_KINDS[kind](**kwargs)
+    except TypeError as exc:
+        raise CheckpointError(f"checkpoint config {config} does not fit {kind!r}: {exc}") from exc
+    expected = [(name, tuple(shape)) for name, shape in params]
     actual = [(name, p.data.shape) for name, p in model.params.items()]
     if expected != actual:
-        lacks = sorted(set(model.config()) - set(header["config"]))
+        lacks = sorted(set(model.config()) - set(config))
         raise CheckpointError(
             f"checkpoint parameter layout {expected} != model layout {actual}"
             + (f"; its config lacks {lacks}, which took constructor defaults" if lacks else "")
@@ -425,9 +432,9 @@ def load_checkpoint(path):
         header = json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"checkpoint header is not JSON: {exc}") from None
-    bundle = header.get("kind") == "bundle"
+    bundle = _header_fields(header, "kind")[0] == "bundle"
     models, offset = [], 0
-    for sub in header["models"] if bundle else [header]:
+    for sub in _header_fields(header, "models")[0] if bundle else [header]:
         model, offset = _load_one(sub, raw, offset)
         models.append(model)
     if offset != len(raw):

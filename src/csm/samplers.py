@@ -39,13 +39,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exact import NaNRatioError, check_nan  # NaNRatioError is re-exported here
 from .graphs import NeighborhoodStructure, State, csr_rows, is_weakly_connected
 
 BLOCK = 1 << 14  # MH steps prepared and recorded at a time
-
-
-class NaNRatioError(FloatingPointError):
-    """A density ratio needed by Metropolis-Hastings is NaN."""
 
 
 @dataclass
@@ -63,27 +60,17 @@ class ChainState:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-def _check_nan(structure, values: np.ndarray):
-    """Raise :class:`NaNRatioError` at the first NaN of an undirected-view array."""
-    nan = np.flatnonzero(np.isnan(values))
-    if nan.size:
-        indptr, dst, _, _ = structure.undirected_view()
-        u = int(np.searchsorted(indptr, nan[0], side="right")) - 1
-        there = structure.space.state_of(int(dst[nan[0]]))
-        raise NaNRatioError(f"NaN density ratio on edge {structure.space.state_of(u)} -> {there}")
-
-
 def _edge_ratio_table(score_model, structure) -> np.ndarray:
     """Density ratio for every undirected-view entry, from one block read of the
     score over the space: a forward entry reads its source's score vector, a
     reverse entry its target's, inverted."""
     indptr, dst, pos, fwd = structure.undirected_view()
-    owner = np.where(fwd, csr_rows(indptr)[0], dst)
+    src = csr_rows(indptr)[0]
     c = score_model.score_vector(structure, structure.space.all_states())
-    ratios = c[structure.adjacency()[0][owner] + pos] + 1.0
+    ratios = c[structure.adjacency()[0][np.where(fwd, src, dst)] + pos] + 1.0
     with np.errstate(divide="ignore"):
         ratios[~fwd] = np.where(ratios[~fwd] == 0, np.inf, 1.0 / ratios[~fwd])
-    _check_nan(structure, ratios)
+    check_nan(structure.space, ratios, src, dst, "density ratio")
     return ratios
 
 
@@ -215,8 +202,9 @@ def run_chain(
         lm = score_model.log_mass_unnorm(space.all_states())
         if not np.isfinite(lm).all():  # a finite log mass gives no NaN difference
             indptr, dst, _, _ = structure.undirected_view()
+            src = csr_rows(indptr)[0]
             with np.errstate(invalid="ignore"):
-                _check_nan(structure, lm[dst] - lm[csr_rows(indptr)[0]])
+                check_nan(space, lm[dst] - lm[src], src, dst, "density ratio")
         lm = memoryview(lm)  # O(1) float reads, with no whole-space tolist
     else:
         ratios = _edge_ratio_table(score_model, structure)
@@ -242,7 +230,6 @@ def run_annealed(
     structure: NeighborhoodStructure,
     init: Sequence[int],
     steps_per_level: int,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
     burn_in: int = 0,
     thin: int = 1,
@@ -254,7 +241,7 @@ def run_annealed(
     """
     if not score_models:
         raise ValueError("need at least one score model")
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     current = structure.space.validate_state(init)
     samples = chain = None
     for model in score_models:

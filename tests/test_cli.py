@@ -7,7 +7,8 @@ import pytest
 
 from csm.cli import build_config, main, parse_config_file
 from csm.models import load_checkpoint, save_checkpoint, LogitTableModel, MaskedARModel
-from csm.graphs import DiscreteSpace
+from csm.graphs import DiscreteSpace, build_structure
+from csm.samplers import run_annealed, run_chain
 
 
 def _logit_table(dims, seed, scale):
@@ -173,6 +174,28 @@ class TestSampleCommand:
         ]
         assert main(args) == 0
         assert (out / "samples.csv").exists()
+
+    @pytest.mark.parametrize("n_models", [1, 2])
+    def test_writes_the_sampler_states(self, tmp_path, n_models):
+        """A one-model checkpoint writes the states run_chain keeps, a bundle
+        those run_annealed keeps, at the same seed, init, burn-in and thin."""
+        models = [_logit_table((5, 4), s, 0.8) for s in range(n_models)]
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(ckpt, models if n_models > 1 else models[0])
+        out = tmp_path / "s"
+        args = [
+            "sample", "--checkpoint", str(ckpt), "--structure", "grid", "--init", "1,2",
+            "--steps", "3000", "--burn_in", "200", "--thin", "3", "--seed", "7", "--out", str(out),
+        ]
+        assert main(args) == 0
+        grid = build_structure("grid", DiscreteSpace((5, 4)))
+        if n_models == 1:
+            want, _ = run_chain(models[0], grid, (1, 2), 3000, burn_in=200, thin=3, seed=7)
+        else:
+            want, _ = run_annealed(models, grid, (1, 2), 3000, burn_in=200, thin=3, seed=7)
+        got = np.loadtxt(out / "samples.csv", delimiter=",", dtype=np.int64, ndmin=2)
+        assert want.shape == (933, 2)
+        np.testing.assert_array_equal(got, want)
 
     def test_degree_mismatch_fails(self, tmp_path):
         from csm.models import ScoreNetModel

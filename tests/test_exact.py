@@ -6,6 +6,7 @@ import pytest
 from csm.exact import (
     SCORE_BLOCK,
     SCORE_CLAMP,
+    NaNRatioError,
     TabularDistribution,
     kl_and_tv,
     max_cycle_residual,
@@ -180,6 +181,42 @@ class TestReconstruction:
         reconstruct_density(lambda s: np.zeros(len(s)), star)
         with pytest.raises(ValueError, match=r"the 4 states from \(0,\) on, which have 3 neighbors"):
             max_cycle_residual(lambda s: np.zeros(len(s)), star)
+
+    def test_nan_tree_entry_names_its_edge(self):
+        grid = build_structure("grid", DiscreteSpace((3, 3)))
+        p = TabularDistribution.random_positive(grid.space, np.random.default_rng(0))
+        fn = _nan_at(_oracle_fn(p, grid), grid, (0, 0))
+        for op in (reconstruct_density, max_cycle_residual):
+            with pytest.raises(NaNRatioError, match=r"edge \(0, 0\) -> \(1, 0\)"):
+                op(fn, grid)
+        # a star's tree edges are reverse entries: a leaf's score toward the hub
+        star = build_structure("star", DiscreteSpace((4,)))
+        with pytest.raises(NaNRatioError, match=r"edge \(2,\) -> \(0,\)"):
+            reconstruct_density(_nan_at(lambda s: np.zeros(len(s)), star, (2,)), star)
+
+    def test_nan_off_tree_entry_fails_the_residual(self):
+        """A corner's entries lie off the BFS tree: reconstruction never reads
+        them, and a NaN residual would pass any tolerance."""
+        grid = build_structure("grid", DiscreteSpace((3, 3)))
+        p = TabularDistribution.random_positive(grid.space, np.random.default_rng(0))
+        fn = _nan_at(_oracle_fn(p, grid), grid, (2, 2))
+        assert np.abs(reconstruct_density(fn, grid).mass - p.mass).max() < 1e-12
+        with pytest.raises(NaNRatioError, match=r"edge \(2, 2\) -> \(1, 2\)"):
+            max_cycle_residual(fn, grid)
+
+
+def _nan_at(score_fn, structure, bad):
+    """``score_fn`` with every entry of the state ``bad`` set to NaN."""
+    indptr, _ = structure.adjacency()
+
+    def fn(states):
+        c = np.array(score_fn(states), dtype=np.float64)
+        idx = structure.space.indices_of(states)
+        owner = np.repeat(idx, indptr[idx + 1] - indptr[idx])
+        c[owner == structure.space.index_of(bad)] = np.nan
+        return c
+
+    return fn
 
 
 def _reference_reconstruct(score_fn, structure, support=None, root=None):

@@ -502,6 +502,18 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="unknown model kind 'made'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header,message", [
+        ({"kind": "logit_table"}, r"header lacks \['config', 'seed', 'params'\]"),
+        ([], "header must be a JSON object, not list"),
+        ({"kind": "bundle"}, r"header lacks \['models'\]"),
+        ({"kind": "bundle", "models": [3]}, "header must be a JSON object, not int"),
+    ])
+    def test_malformed_header_is_named(self, tmp_path, header, message):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n")
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_config_missing_key(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, ScoreNetModel(DiscreteSpace((16,)), degree=1, hidden=(4,)))
