@@ -62,8 +62,10 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.objective not in objectives.OBJECTIVE_NAMES:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.lr <= 0 or self.iterations < 1 or self.batch_size < 1 or self.n_samples < 1:
-            raise ValueError("lr, iterations, batch_size and n_samples must be positive")
+        if not 0.0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.iterations < 1 or self.batch_size < 1 or self.n_samples < 1:
+            raise ValueError("iterations, batch_size and n_samples must be positive")
         if not (0.0 < self.noise_w < 1.0):
             raise ValueError("noise_w must lie in (0, 1)")
         if self.steps < 0 or self.burn_in < 0 or self.thin < 1:

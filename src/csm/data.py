@@ -62,8 +62,6 @@ TOY_2D_NAMES = ("checkerboard", "spirals", "rings")
 class Dataset:
     space: DiscreteSpace
     samples: np.ndarray  # (N, D) int64
-    name: str
-    seed: int
     ground_truth: TabularDistribution | None = None
 
     def __post_init__(self):
@@ -97,7 +95,7 @@ def gen_1d_toy(n: int, seed: int = 0) -> Dataset:
     space = DiscreteSpace((TOY_1D_CATEGORIES,))
     truth = TabularDistribution(space, toy_1d_masses())
     rng = np.random.default_rng(seed)
-    return Dataset(space, truth.sample(n, rng), name="toy1d", seed=seed, ground_truth=truth)
+    return Dataset(space, truth.sample(n, rng), ground_truth=truth)
 
 
 def _quantize(points: np.ndarray, bins: int) -> np.ndarray:
@@ -261,7 +259,7 @@ def gen_2d_toy(name: str, n: int, bins: int = 91, seed: int = 0) -> Dataset:
     points[background] = (rng.random((int(background.sum()), 2)) * 2.0 - 1.0) * FIELD_HALF_WIDTH
     masses = (1.0 - BACKGROUND_MIX) * masses + BACKGROUND_MIX / masses.size
     truth = TabularDistribution(space, masses, normalize=True)
-    return Dataset(space, _quantize(points, bins), name=name, seed=seed, ground_truth=truth)
+    return Dataset(space, _quantize(points, bins), ground_truth=truth)
 
 
 def load_tabular_csv(path, header: bool = False) -> Dataset:
@@ -300,4 +298,4 @@ def load_tabular_csv(path, header: bool = False) -> Dataset:
                    else f"ragged row of length {len(fields)}, expected {width}")
         raise ValueError(f"{path}:{lineno + 1}: {problem}")
     samples = rows[:, ::2].astype(np.int64)
-    return Dataset(DiscreteSpace((2,) * samples.shape[1]), samples, name="csv", seed=0)
+    return Dataset(DiscreteSpace((2,) * samples.shape[1]), samples)

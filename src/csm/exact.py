@@ -24,11 +24,12 @@ log = logging.getLogger(__name__)
 MASS_TOL = 1e-12
 # score entries this close to -1 are clamped before the log is taken
 SCORE_CLAMP = 1e-9
-# most rows one model read puts on the tape: score entries per score_fn call
-# here, states per DensityModel.log_mass_unnorm pass. A pass holds its
-# activations until it returns: one over the 2,048 tree owners (24,576 entries)
-# of a 12-bit masked-AR grid took peak RSS from 70 to 243 MiB, and blocks of
-# 2,048 entries cut MH steps/s by a third, which blocks of 1,024 did not.
+# most rows one model read puts on the tape: score entries per score_fn call, as
+# reconstruction's tree and MH's ratio table read them, and states per
+# DensityModel.log_mass_unnorm pass. A pass holds its activations until it returns:
+# one over the 2,048 tree owners (24,576 entries) of a 12-bit masked-AR grid took
+# peak RSS from 70 to 243 MiB, and blocks of 2,048 entries cut MH steps/s by a
+# third, which blocks of 1,024 did not.
 SCORE_BLOCK = 1024
 
 
@@ -144,6 +145,21 @@ def _read_scores(score_fn, structure: NeighborhoodStructure, states: np.ndarray)
     return np.cumsum(degs) - degs, np.concatenate(out)
 
 
+def view_scores(score_fn, structure: NeighborhoodStructure, src: np.ndarray, k=slice(None)) -> np.ndarray:
+    """Score entry of the directed edge under each undirected-view entry ``k`` (all
+    by default) of row ``src``: a forward entry reads its source's score at slot
+    ``pos``, a reverse entry its target's. Each owner is read once, through
+    :func:`_read_scores`; a NaN raises :class:`NaNRatioError` naming the edge."""
+    _, dst, pos, fwd = structure.undirected_view()
+    owner = np.where(fwd[k], src, dst[k])
+    owners = np.flatnonzero(np.bincount(owner, minlength=structure.space.total_states))
+    start = np.empty(structure.space.total_states, dtype=np.int64)  # where each owner's scores begin
+    start[owners], scores = _read_scores(score_fn, structure, owners)
+    c = scores[start[owner] + pos[k]]
+    check_nan(structure.space, c, owner, np.where(fwd[k], dst[k], src), "score entry")
+    return c
+
+
 def reconstruct_density(
     score_fn: Callable[[np.ndarray], np.ndarray],
     structure: NeighborhoodStructure,
@@ -169,7 +185,7 @@ def reconstruct_density(
     if not member[root_idx]:
         raise ValueError("root must belong to the support")
 
-    indptr, dst, pos, fwd = structure.undirected_view()
+    indptr, dst, _, fwd = structure.undirected_view()
     seen = ~member
     seen[root_idx] = True
     levels, frontier = [], np.array([root_idx])
@@ -191,11 +207,7 @@ def reconstruct_density(
         )
 
     parent, k = (np.concatenate(part) for part in zip(*levels))
-    # a forward entry reads its parent's score, a reverse entry its child's
-    owners, which = np.unique(np.where(fwd[k], parent, dst[k]), return_inverse=True)
-    start, scores = _read_scores(score_fn, structure, owners)
-    c = scores[start[which] + pos[k]]
-    check_nan(space, c, owners[which], np.where(fwd[k], dst[k], parent), "score entry")
+    c = view_scores(score_fn, structure, parent, k)
     clamped = int((c <= -1.0 + SCORE_CLAMP).sum())
     if clamped:
         log.warning("reconstruct_density clamped %d score entries at -1", clamped)

@@ -41,7 +41,7 @@ import numpy as np
 
 State = tuple[int, ...]
 
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 # CSR adjacency materialization refuses beyond this many edges.
 EDGE_CAP = 2 * 10**7
 
@@ -64,7 +64,6 @@ class DiscreteSpace:
     """
 
     dims: tuple[int, ...]
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -88,13 +87,13 @@ class DiscreteSpace:
 
     @property
     def enumerable(self) -> bool:
-        return self.total_states <= self.enumeration_cap
+        return self.total_states <= ENUMERATION_CAP
 
     def require_enumerable(self, what: str = "operation") -> int:
         if not self.enumerable:
             raise EnumerationCapExceeded(
                 f"{what} requires enumerating {self.total_states} states "
-                f"(cap {self.enumeration_cap})"
+                f"(cap {ENUMERATION_CAP})"
             )
         return self.total_states
 

@@ -375,32 +375,53 @@ def save_checkpoint(path, model_or_models) -> None:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint whose header is not a JSON object, lacks a key, names an unknown
-    kind or a config that does not fit it, or lists parameters its payload does not match."""
+    """A checkpoint whose header is not a JSON object, lacks a key or holds one of the
+    wrong type, names an unknown kind or a config that does not fit it, or lists
+    parameters its payload does not match."""
 
 
-def _header_fields(header, *keys) -> list:
-    """The values of ``keys`` in a checkpoint header, which must be a JSON object."""
+_JSON_TYPES = {str: "string", int: "integer", dict: "object", list: "array"}
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _header_fields(header, **types) -> list:
+    """The values of the keys of ``types`` in a checkpoint header, which must be a
+    JSON object; each value must have its key's type."""
     if not isinstance(header, dict):
         raise CheckpointError(f"checkpoint header must be a JSON object, not {type(header).__name__}")
-    missing = [key for key in keys if key not in header]
+    missing = [key for key in types if key not in header]
     if missing:
         raise CheckpointError(f"checkpoint header lacks {missing}")
-    return [header[key] for key in keys]
+    for key, kind in types.items():
+        if not isinstance(header[key], kind) or type(header[key]) is bool:
+            raise CheckpointError(f"checkpoint header key {key!r} must be a JSON {_JSON_TYPES[kind]}, "
+                                  f"not {type(header[key]).__name__}")
+    return [header[key] for key in types]
 
 
 def _load_one(header, raw: bytes, offset: int):
     """(model, offset after its parameters) of a checkpoint header: ``config()``
     as constructor keywords, parameters read from ``raw`` at ``offset``."""
-    kind, config, seed, params = _header_fields(header, "kind", "config", "seed", "params")
+    kind, config, seed, params = _header_fields(header, kind=str, config=dict, seed=int, params=list)
     if kind not in _MODEL_KINDS:
         raise CheckpointError(f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}")
+    for entry in params:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and _is_int_list(entry[1])):
+            raise CheckpointError(f"checkpoint header key 'params' must list [string, integer array] "
+                                  f"pairs, not {entry!r}")
+    if "dims" in config and not _is_int_list(config["dims"]):
+        raise CheckpointError(f"checkpoint config key 'dims' must be a JSON integer array, "
+                              f"not {config['dims']!r}")
     kwargs = dict(config, seed=seed)
     if "dims" in kwargs:
         kwargs["space"] = DiscreteSpace(tuple(kwargs.pop("dims")))
     try:
         model = _MODEL_KINDS[kind](**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint config {config} does not fit {kind!r}: {exc}") from exc
     expected = [(name, tuple(shape)) for name, shape in params]
     actual = [(name, p.data.shape) for name, p in model.params.items()]
@@ -432,9 +453,9 @@ def load_checkpoint(path):
         header = json.loads(line.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"checkpoint header is not JSON: {exc}") from None
-    bundle = _header_fields(header, "kind")[0] == "bundle"
+    bundle = _header_fields(header, kind=str)[0] == "bundle"
     models, offset = [], 0
-    for sub in _header_fields(header, "models")[0] if bundle else [header]:
+    for sub in _header_fields(header, models=list)[0] if bundle else [header]:
         model, offset = _load_one(sub, raw, offset)
         models.append(model)
     if offset != len(raw):

@@ -7,10 +7,10 @@ Metropolis-Hastings walks the undirected view of the neighborhood graph.
   the whole space; the edge ratios along any path telescope, so every
   ratio is q(there) / q(here) = exp(log q(there) - log q(here));
 - any other model fills a table with one ratio per undirected-view
-  entry from one ``score_vector`` read over the whole space: the score
-  entry of whichever directed edge exists, inverted when the edge points
-  backwards. Ratios below zero (entries under -1) are clamped to zero and
-  counted.
+  entry: one plus the score entry of the directed edge under it, inverted
+  when the edge points backwards, read by :func:`csm.exact.view_scores` as
+  reconstruction reads it, at most ``SCORE_BLOCK`` entries at a time.
+  Ratios below zero (entries under -1) are clamped to zero and counted.
 
 On chain, cycle and grid structures the chain proposes straight-line
 paths along the structure's lines (a grid dimension, or the flat order):
@@ -24,8 +24,8 @@ correction since the proposal is symmetric. Each block of ``BLOCK`` steps
 draws its uniforms as one (n, 4) array and prepares lines and lengths in
 numpy; one scalar loop then walks flat indices. Other structures propose
 one neighbor uniformly among states adjacent in either direction and
-include the proposal-degree correction. A NaN ratio anywhere raises
-:class:`NaNRatioError`.
+include the proposal-degree correction. A NaN score entry or density
+ratio anywhere raises :class:`NaNRatioError`, naming its edge.
 
 An annealed wrapper chains final states across a model sequence, and a
 Langevin integrator serves the continuous denoising pipeline.
@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exact import NaNRatioError, check_nan  # NaNRatioError is re-exported here
+from .exact import NaNRatioError, check_nan, view_scores  # NaNRatioError is re-exported here
 from .graphs import NeighborhoodStructure, State, csr_rows, is_weakly_connected
 
 BLOCK = 1 << 14  # MH steps prepared and recorded at a time
@@ -50,7 +50,6 @@ class ChainState:
     """What :func:`run_chain` reports about its chain."""
 
     current: State
-    step: int = 0
     accepted: int = 0
     proposed: int = 0
     clamped: int = 0
@@ -58,20 +57,6 @@ class ChainState:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposed if self.proposed else 0.0
-
-
-def _edge_ratio_table(score_model, structure) -> np.ndarray:
-    """Density ratio for every undirected-view entry, from one block read of the
-    score over the space: a forward entry reads its source's score vector, a
-    reverse entry its target's, inverted."""
-    indptr, dst, pos, fwd = structure.undirected_view()
-    src = csr_rows(indptr)[0]
-    c = score_model.score_vector(structure, structure.space.all_states())
-    ratios = c[structure.adjacency()[0][np.where(fwd, src, dst)] + pos] + 1.0
-    with np.errstate(divide="ignore"):
-        ratios[~fwd] = np.where(ratios[~fwd] == 0, np.inf, 1.0 / ratios[~fwd])
-    check_nan(structure.space, ratios, src, dst, "density ratio")
-    return ratios
 
 
 def _unit_step_ratios(structure, ratios: np.ndarray) -> np.ndarray:
@@ -169,12 +154,13 @@ def run_chain(
     Chain, cycle and grid structures use straight-line path proposals,
     other kinds the single-step undirected proposal (see the module
     docstring). A call costs one ``log_mass_unnorm`` pass over the space
-    for a density model, else one ``score_vector`` read. Path proposals
+    for a density model, else one read of every score entry, at most
+    ``SCORE_BLOCK`` entries per ``score_vector`` call. Path proposals
     draw ``rng.random((n, 4))`` per block of n <= ``BLOCK`` steps, then
     walk: O(1) per step for a density model, else time proportional to the
     path's length. Negative ratios (score entries under -1) are clamped to
-    zero and counted in ``clamped``; a NaN ratio anywhere raises
-    :class:`NaNRatioError` before the first step. Only a non-finite log
+    zero and counted in ``clamped``; a NaN score entry or ratio anywhere
+    raises :class:`NaNRatioError` before the first step. Only a non-finite log
     mass can give one, so only then are a density model's edges read.
 
     Keeps every ``thin``-th state after ``burn_in`` steps; ``steps=0``
@@ -207,9 +193,15 @@ def run_chain(
                 check_nan(space, lm[dst] - lm[src], src, dst, "density ratio")
         lm = memoryview(lm)  # O(1) float reads, with no whole-space tolist
     else:
-        ratios = _edge_ratio_table(score_model, structure)
+        # one plus the score entry of the directed edge under each view entry,
+        # inverted on a reverse entry (an entry of -1 inverts to inf)
+        indptr, _, _, fwd = structure.undirected_view()
+        ratios = view_scores(lambda s: score_model.score_vector(structure, s), structure,
+                             csr_rows(indptr)[0]) + 1.0
+        with np.errstate(divide="ignore"):
+            ratios[~fwd] = 1.0 / ratios[~fwd]
         clamped = int((ratios < 0).sum())
-        ratios = np.maximum(ratios, 0.0)
+        np.maximum(ratios, 0.0, out=ratios)
         if lines is not None:
             step_ratios = _unit_step_ratios(structure, ratios)
     walk = (_neighbor_walk(structure, rng, lm, ratios) if lines is None
@@ -221,7 +213,7 @@ def run_chain(
         accepted += block_accepted
         first = burn_in + thin - 1 - start  # trace index of step burn_in + thin
         kept.extend(trace[max(first, first % thin)::thin])
-    chain = ChainState(space.state_of(here), steps, accepted, steps, clamped)
+    chain = ChainState(space.state_of(here), accepted, steps, clamped)
     return space.states_of(np.asarray(kept, dtype=np.int64)), chain
 
 
@@ -256,8 +248,7 @@ def langevin(
     init: np.ndarray,
     step_size: float,
     steps: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     burn_in: int = 0,
     thin: int = 1,
     noise_scale: float = 1.0,
@@ -273,7 +264,6 @@ def langevin(
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
-    rng = rng if rng is not None else np.random.default_rng(seed)
     x = np.array(init, dtype=np.float64)
     root = np.sqrt(step_size)
     kept = []

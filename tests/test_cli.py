@@ -47,6 +47,13 @@ class TestConfig:
                 build_config({key: value}, {})
         assert build_config({"structure": "explicit:edges.txt", "model": "masked_ar"}, {})
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_named(self, tmp_path, capsys, lr):
+        with pytest.raises(ValueError, match=f"lr must be positive and finite, got {lr}"):
+            build_config({}, {"lr": lr})
+        assert main(["train", "--lr", lr, "--out", str(tmp_path)]) == 1
+        assert f"lr must be positive and finite, got {lr}" in capsys.readouterr().err
+
     def test_malformed_file_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("just words\n")

@@ -198,13 +198,13 @@ class TestDatasetRange:
     def test_out_of_range_names_first_bad_dimension(self, dims, row, dim):
         samples = np.array([[1, 4, 3], row, [0, 0, 0]])
         with pytest.raises(ValueError, match=f"out of range in dimension {dim}$"):
-            Dataset(DiscreteSpace(dims), samples, name="t", seed=0)
+            Dataset(DiscreteSpace(dims), samples)
 
     def test_bounds_are_inclusive_below_exclusive_above(self):
         space = DiscreteSpace((2, 5, 4))
-        ds = Dataset(space, [[0, 0, 0], [1, 4, 3]], name="t", seed=0)
+        ds = Dataset(space, [[0, 0, 0], [1, 4, 3]])
         assert ds.samples.dtype == np.int64
-        Dataset(space, np.empty((0, 3), dtype=np.int64), name="empty", seed=0)
+        Dataset(space, np.empty((0, 3), dtype=np.int64))
 
 
 class TestTabularCsv:
@@ -236,7 +236,7 @@ class TestTabularCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         space = DiscreteSpace((2, 2, 2, 2))
-        ds = Dataset(space, rng.integers(0, 2, size=(50, 4)), name="t", seed=0)
+        ds = Dataset(space, rng.integers(0, 2, size=(50, 4)))
         path = tmp_path / "rt.csv"
         write_samples_csv(path, ds.samples)
         back = load_tabular_csv(path)

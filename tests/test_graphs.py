@@ -118,7 +118,7 @@ class TestDiscreteSpace:
         )
 
     def test_enumeration_cap(self):
-        space = DiscreteSpace((10, 10), enumeration_cap=50)
+        space = DiscreteSpace((1001, 1000))
         with pytest.raises(EnumerationCapExceeded):
             space.require_enumerable()
 

@@ -514,6 +514,24 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.clear() or h.update(kind="bundle", models=3),
+         "key 'models' must be a JSON array, not int"),
+        (lambda h: h.update(config=5), "key 'config' must be a JSON object, not int"),
+        (lambda h: h.update(params=5), "key 'params' must be a JSON array, not int"),
+        (lambda h: h.update(params=[["logits"]]),
+         r"'params' must list \[string, integer array\] pairs, not \['logits'\]"),
+        (lambda h: h["config"].update(dims="ab"), "key 'dims' must be a JSON integer array, not 'ab'"),
+        (lambda h: h.update(kind=["x"]), "key 'kind' must be a JSON string, not list"),
+        (lambda h: h.update(seed="x"), "key 'seed' must be a JSON integer, not str"),
+    ], ids=["bundle-models", "config", "params", "params-entry", "dims", "kind", "seed"])
+    def test_header_value_of_wrong_type_is_named(self, tmp_path, edit, message):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, KIND_EXAMPLES["logit_table"]())
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
     def test_config_missing_key(self, tmp_path):
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, ScoreNetModel(DiscreteSpace((16,)), degree=1, hidden=(4,)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csm.autodiff import Tensor
-from csm.exact import TabularDistribution, kl_and_tv
+from csm.exact import SCORE_BLOCK, TabularDistribution, kl_and_tv
 from csm.graphs import DiscreteSpace, EnumerationCapExceeded, build_structure
 from csm.models import LogitTableModel, MaskedARModel, ScoreModel, ScoreNetModel
 from csm.samplers import NaNRatioError, langevin, run_annealed, run_chain
@@ -87,7 +87,7 @@ class TestRunChain:
         model = LogitTableModel(space)
         samples, chain = run_chain(model, build_structure("cycle", space), (3,), 0, seed=0)
         np.testing.assert_array_equal(samples, [[3]])
-        assert chain.step == 0
+        assert chain.proposed == 0
 
     def test_reproducible_under_seed(self):
         space = DiscreteSpace((10,))
@@ -186,7 +186,7 @@ class TestRunChain:
 
     def test_needs_enumerable_space_without_connectivity_check(self):
         """The connectivity check and the ratios need the whole space."""
-        grid = build_structure("grid", DiscreteSpace((10, 10), enumeration_cap=50))
+        grid = build_structure("grid", DiscreteSpace((1001, 1000)))
         model = LogitTableModel(DiscreteSpace((10, 10)))
         with pytest.raises(EnumerationCapExceeded):
             run_chain(model, grid, (0, 0), 10, seed=0)
@@ -286,6 +286,43 @@ def _differential_cases():
     net = ScoreNetModel(space, degree=1, hidden=(8,), seed=2)
     net.params["w1"].data *= 4.0  # two entries under -1: four clamped ratios
     yield "score-net-cycle", net, build_structure("cycle", space)
+    # 1,600 view entries: the ratio table takes more than one SCORE_BLOCK read
+    grid = build_structure("grid", DiscreteSpace((20, 20)), boundary="wrap")
+    yield "score-net-grid-wrap-20x20", ScoreNetModel(grid.space, degree=4, hidden=(8,), seed=1), grid
+
+
+class TestScoreEntryReads:
+    """A score-entry model's ratio table reads through ``exact.view_scores``, as
+    reconstruction does."""
+
+    def test_every_table_read_holds_at_most_a_block(self):
+        grid = build_structure("grid", DiscreteSpace((20, 20)), boundary="wrap")
+        sizes = []
+
+        class Recording(_EntriesOnly):
+            def score_vector(self, structure, x):
+                c = super().score_vector(structure, x)
+                sizes.append(c.size)
+                return c
+
+        run_chain(Recording(_random_logit_model(grid.space, 60)), grid, (0, 0), 10, seed=0)
+        # each state's 4 entries are read once, in more than one block
+        assert sum(sizes) == 1600 and len(sizes) > 1 and max(sizes) <= SCORE_BLOCK
+
+    def test_nan_score_entry_names_its_directed_edge(self):
+        """On a chain, edge 5 -> 6 is a forward view entry of state 5 and a
+        reverse one of state 6; both read state 5's score."""
+
+        class NaNAtFive(ScoreModel):
+            def score_entries_t(self, structure, states, positions, dst=None):
+                c = np.zeros(len(positions))
+                c[states[:, 0] == 5] = np.nan
+                return Tensor(c)
+
+        rng = np.random.default_rng(61)
+        with pytest.raises(NaNRatioError, match=r"NaN score entry on edge \(5,\) -> \(6,\)"):
+            run_chain(NaNAtFive(), build_structure("chain", DiscreteSpace((8,))), (0,), 100, rng=rng)
+        assert rng.random() == np.random.default_rng(61).random()
 
 
 class TestDensityNaNContract:
@@ -418,7 +455,7 @@ class TestAnnealed:
 class TestLangevin:
     def test_zero_score_is_random_walk(self):
         traj = langevin(lambda x: np.zeros_like(x), np.zeros(2000), step_size=0.04,
-                        steps=1, seed=17)
+                        steps=1, rng=np.random.default_rng(17))
         assert traj.shape == (1, 2000)
         assert traj[0].var() == pytest.approx(0.04, rel=0.15)
 
@@ -426,22 +463,22 @@ class TestLangevin:
         """Score -x holds the discretized chain near unit variance."""
         eps = 0.01
         traj = langevin(lambda x: -x, np.zeros(8), step_size=eps, steps=100_000,
-                        burn_in=10_000, thin=10, seed=18)
+                        burn_in=10_000, thin=10, rng=np.random.default_rng(18))
         target = 1.0 / (1.0 - eps / 4.0)
         assert traj.var() == pytest.approx(target, rel=0.10)
 
     def test_noise_free_mode_ascent(self):
         """Without noise the update climbs a concave log-density monotonically."""
         traj = langevin(lambda x: -x, np.full(4, 3.0), step_size=0.1, steps=50,
-                        noise_scale=0.0, seed=19)
+                        noise_scale=0.0, rng=np.random.default_rng(19))
         dens = -0.5 * (traj**2).sum(axis=1)
         assert np.all(np.diff(dens) > 0)
 
     def test_clamp_keeps_box(self):
         traj = langevin(lambda x: np.zeros_like(x), np.zeros(100), step_size=1.0,
-                        steps=200, clamp=(-0.5, 0.5), seed=20)
+                        steps=200, clamp=(-0.5, 0.5), rng=np.random.default_rng(20))
         assert traj.min() >= -0.5 and traj.max() <= 0.5
 
     def test_non_finite_score_raises(self):
         with pytest.raises(FloatingPointError):
-            langevin(lambda x: np.full_like(x, np.nan), np.zeros(3), 0.1, 10, seed=21)
+            langevin(lambda x: np.full_like(x, np.nan), np.zeros(3), 0.1, 10, rng=np.random.default_rng(21))
